@@ -62,15 +62,12 @@ from .optim import (
     soft_threshold,
 )
 from .soav import (
-    ProxSpec,
     SingularWeightSystemError,
     SoavWeights,
     UnsupportedAlphabetError,
     build_weight_system,
     default_offset,
-    prox_general,
     prox_general_vector,
-    prox_ternary,
     prox_vector,
     soav_objective,
     soav_penalty,

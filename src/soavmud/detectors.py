@@ -8,21 +8,13 @@ ternary decision. The continuous detectors share the same quantizer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
 from .model import SymbolPrior, SystemInstance
-from .optim import (
-    QuadraticData,
-    SolveReport,
-    SolverConfig,
-    estimate_lipschitz,
-    fista,
-    soft_threshold,
-)
+from .optim import QuadraticData, SolveReport, SolverConfig, fista, soft_threshold
 from .soav import (
-    ProxSpec,
     UnsupportedAlphabetError,
     default_offset,
     prox_general_vector,
@@ -77,11 +69,14 @@ class DetectorConfig:
 
 @dataclass(frozen=True, eq=False)
 class DetectionResult:
-    """Continuous estimate, hard decision, and solver diagnostics."""
+    """Continuous estimate, hard decision, and the FISTA report.
+
+    ``diagnostics`` is None for the closed-form and enumerating detectors.
+    """
 
     raw: np.ndarray
     decided: np.ndarray
-    diagnostics: Union[SolveReport, str]
+    diagnostics: Optional[SolveReport] = None
 
 
 def threshold_map(raw, alpha: float) -> np.ndarray:
@@ -113,20 +108,7 @@ def lmmse(
     G = m2 * (B @ B.T)
     G[np.diag_indices_from(G)] += instance.sigma_w2
     raw = m2 * (B.T @ np.linalg.solve(G, instance.y))
-    return DetectionResult(
-        raw=raw, decided=threshold_map(raw, alpha), diagnostics="closed-form"
-    )
-
-
-def _resolved_solver(config: DetectorConfig, data: QuadraticData) -> SolverConfig:
-    if config.solver.lipschitz is not None:
-        return config.solver
-    return SolverConfig(
-        lipschitz=estimate_lipschitz(data),
-        max_iters=config.solver.max_iters,
-        rel_tol=config.solver.rel_tol,
-        record_trajectory=config.solver.record_trajectory,
-    )
+    return DetectionResult(raw=raw, decided=threshold_map(raw, alpha))
 
 
 def lasso(instance: SystemInstance, config: DetectorConfig) -> DetectionResult:
@@ -135,7 +117,7 @@ def lasso(instance: SystemInstance, config: DetectorConfig) -> DetectionResult:
     report = fista(
         data,
         prox=soft_threshold,
-        config=_resolved_solver(config, data),
+        config=config.solver,
         penalty=lambda x: float(np.abs(x).sum()),
     )
     return DetectionResult(
@@ -166,14 +148,13 @@ def map_soav(
     elementwise = prox_general_vector if config.exact_prox else prox_vector
 
     def prox(z, gamma):
-        spec = ProxSpec(gamma=gamma, weights=weights, alphabet=prior.alphabet)
-        return elementwise(z, spec)
+        return elementwise(z, gamma, weights)
 
     report = fista(
         data,
         prox=prox,
-        config=_resolved_solver(config, data),
-        penalty=lambda x: soav_penalty(x, weights, prior.alphabet),
+        config=config.solver,
+        penalty=lambda x: soav_penalty(x, weights),
     )
     return DetectionResult(
         raw=report.solution,
@@ -233,11 +214,7 @@ def exhaustive_map(instance: SystemInstance, prior: SymbolPrior) -> DetectionRes
         if values[j] < best_value:
             best_value = float(values[j])
             best_x = X[j].copy()
-    return DetectionResult(
-        raw=best_x,
-        decided=best_x.copy(),
-        diagnostics=f"exhaustive search over {total} candidates",
-    )
+    return DetectionResult(raw=best_x, decided=best_x.copy())
 
 
 def run_detector(

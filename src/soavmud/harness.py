@@ -10,7 +10,6 @@ execution order and of the degree of parallelism.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -20,7 +19,7 @@ import numpy as np
 
 from .detectors import DetectorConfig, run_detector
 from .model import SnrSpec, bpsk_prior, gaussian_matrix, sigma_from_snr, substream, synthesize
-from .optim import DivergenceError, SolveReport
+from .optim import DivergenceError
 from .soav import SingularWeightSystemError, default_offset, solve_weights
 
 __all__ = [
@@ -148,7 +147,6 @@ class TrialRecord:
     axis_value: float
     error_counts: dict      # detector kind -> int, or None when the detector failed
     iterations: dict        # detector kind -> solver iterations (0 for closed forms)
-    instance_digest: str
     failure_reasons: dict   # detector kind -> message, only for failed detectors
 
 
@@ -173,15 +171,6 @@ def error_ratio(decided, truth) -> float:
     if decided.shape != truth.shape:
         raise ValueError("decided and truth must have equal length")
     return float(np.count_nonzero(decided != truth)) / decided.size
-
-
-def _instance_digest(instance) -> str:
-    blob = b"".join(
-        np.ascontiguousarray(part).tobytes()
-        for part in (instance.S, instance.gains, instance.b, instance.w, instance.y)
-    )
-    blob += np.float64(instance.sigma_w2).tobytes()
-    return hashlib.sha1(blob).hexdigest()[:16]
 
 
 def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> TrialRecord:
@@ -211,17 +200,12 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
             )
             continue
         counts[det.kind] = int(np.count_nonzero(result.decided != instance.b))
-        iters[det.kind] = (
-            result.diagnostics.iterations
-            if isinstance(result.diagnostics, SolveReport)
-            else 0
-        )
+        iters[det.kind] = 0 if result.diagnostics is None else result.diagnostics.iterations
     return TrialRecord(
         trial_index=trial_index,
         axis_value=float(axis_value),
         error_counts=counts,
         iterations=iters,
-        instance_digest=_instance_digest(instance),
         failure_reasons=reasons,
     )
 

@@ -9,7 +9,7 @@ is convex whenever all q_l come out nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .model import SymbolPrior, SystemInstance
 
 __all__ = [
     "SoavWeights",
-    "ProxSpec",
     "SingularWeightSystemError",
     "UnsupportedAlphabetError",
     "build_weight_system",
@@ -25,13 +24,10 @@ __all__ = [
     "solve_weights",
     "soav_penalty",
     "soav_objective",
-    "prox_ternary",
     "prox_vector",
-    "prox_general",
     "prox_general_vector",
 ]
 
-_PIVOT_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _TERNARY = np.array([-1.0, 0.0, 1.0])
 
@@ -46,47 +42,36 @@ class UnsupportedAlphabetError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SoavWeights:
-    """Calibrated penalty weights q with the offset constant c they solve for."""
+    """Calibrated penalty weights q for the alphabet r, with the offset constant c.
+
+    ``ternary`` records once whether the alphabet is (-1, 0, 1), the only
+    one the closed-form prox covers.
+    """
 
     q: np.ndarray
     c: float
+    alphabet: np.ndarray
+    ternary: bool = field(init=False)
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size < 1:
             raise ValueError("q must be a nonempty vector")
+        alphabet = np.array(self.alphabet, dtype=float)
+        if alphabet.shape != q.shape:
+            raise ValueError("weights and alphabet must have equal length")
+        if not np.all(np.diff(alphabet) > 0):
+            raise ValueError("alphabet must be strictly increasing")
         q.setflags(write=False)
+        alphabet.setflags(write=False)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "ternary", np.array_equal(alphabet, _TERNARY))
 
     @property
     def convex(self) -> bool:
         """True when the penalty is convex, i.e. no weight is negative."""
         return bool(np.min(self.q) >= 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class ProxSpec:
-    """Everything needed to evaluate the 1-D prox: step gamma, weights, alphabet."""
-
-    gamma: float
-    weights: SoavWeights
-    alphabet: np.ndarray
-
-    def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        alphabet = np.array(self.alphabet, dtype=float)
-        if alphabet.ndim != 1 or alphabet.size < 1:
-            raise ValueError("alphabet must be a nonempty vector")
-        if alphabet.size > 1 and not np.all(np.diff(alphabet) > 0):
-            raise ValueError("alphabet must be strictly increasing")
-        if self.weights.q.size != alphabet.size:
-            raise ValueError("weights and alphabet must have equal length")
-        alphabet.setflags(write=False)
-        object.__setattr__(self, "alphabet", alphabet)
-
-    def is_ternary(self) -> bool:
-        return self.alphabet.size == 3 and np.array_equal(self.alphabet, _TERNARY)
 
 
 def build_weight_system(prior: SymbolPrior, c: float):
@@ -119,71 +104,52 @@ def solve_weights(prior: SymbolPrior, c: float) -> SoavWeights:
         raise SingularWeightSystemError(
             f"weight system solved to residual {residual:.2e} only"
         )
-    return SoavWeights(q=q, c=float(c))
+    return SoavWeights(q=q, c=float(c), alphabet=prior.alphabet)
 
 
 def _solve_pivoted(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting; rejects pivots below 1e-12."""
-    a = np.array(mat, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) <= _PIVOT_TOL:
-            raise SingularWeightSystemError(
-                "weight system is singular (pivot below 1e-12)"
-            )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1 :] -= factors * b[col]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
+    """LU solve with partial pivoting; an exactly singular matrix raises."""
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularWeightSystemError("weight system is singular") from exc
 
 
-def soav_penalty(x, weights: SoavWeights, alphabet) -> float:
+def soav_penalty(x, weights: SoavWeights) -> float:
     """Penalty value sum_l q_l ||x - r_l 1||_1."""
     x = np.asarray(x, dtype=float)
-    r = np.asarray(alphabet, dtype=float)
-    if weights.q.size != r.size:
-        raise ValueError("weights and alphabet must have equal length")
-    return float(np.abs(x[:, None] - r).sum(axis=0) @ weights.q)
+    return float(np.abs(x[:, None] - weights.alphabet).sum(axis=0) @ weights.q)
 
 
-def soav_objective(
-    x, instance: SystemInstance, weights: SoavWeights, prior: SymbolPrior
-) -> float:
+def soav_objective(x, instance: SystemInstance, weights: SoavWeights) -> float:
     """Full objective: ||y - S A x||^2 / (2 sigma_w2) + penalty."""
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.n_users,):
         raise ValueError("x must have one entry per user")
     resid = instance.y - instance.mix @ x
     data = float(resid @ resid) / (2.0 * instance.sigma_w2)
-    return data + soav_penalty(x, weights, prior.alphabet)
+    return data + soav_penalty(x, weights)
 
 
-def prox_vector(values, spec: ProxSpec) -> np.ndarray:
-    """Closed-form ternary prox, applied elementwise.
+def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
+    """Closed-form ternary prox of gamma * g, applied elementwise.
 
     Seven affine branches separated by six breakpoints; branches are tested
     top to bottom and the first matching one wins, so the map stays well
     defined even when negative weights make some intervals empty.
     """
-    if not spec.is_ternary():
+    if not weights.ternary:
         raise UnsupportedAlphabetError(
-            "closed-form prox requires alphabet (-1, 0, 1); use prox_general"
+            "closed-form prox requires alphabet (-1, 0, 1); use prox_general_vector"
         )
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
     v = np.asarray(values, dtype=float)
-    g = spec.gamma
-    q0, q1, q2 = spec.weights.q
-    lo = g * (-q0 - q1 - q2)
-    inner_lo = g * (q0 - q1 - q2)
-    inner_hi = g * (q0 + q1 - q2)
-    hi = g * (q0 + q1 + q2)
+    q0, q1, q2 = weights.q
+    lo = gamma * (-q0 - q1 - q2)
+    inner_lo = gamma * (q0 - q1 - q2)
+    inner_hi = gamma * (q0 + q1 - q2)
+    hi = gamma * (q0 + q1 + q2)
     edge0 = -1.0 + lo
     edge1 = -1.0 + inner_lo
     edge2 = inner_lo
@@ -201,35 +167,26 @@ def prox_vector(values, spec: ProxSpec) -> np.ndarray:
     return out
 
 
-def prox_ternary(v: float, spec: ProxSpec) -> float:
-    """Scalar form of the closed-form ternary prox."""
-    return float(prox_vector(np.array([v], dtype=float), spec)[0])
-
-
-def prox_general_vector(values, spec: ProxSpec) -> np.ndarray:
+def prox_general_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
     """Exact elementwise prox for any alphabet and any (possibly negative) weights.
 
     Minimizes sum_l q_l |u - r_l| + (u - v)^2 / (2 gamma) by enumerating the
     stationary point of every inter-breakpoint interval together with the
     breakpoints themselves, then picking the candidate of least objective.
     """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
     v = np.asarray(values, dtype=float)
-    r = spec.alphabet
-    q = spec.weights.q
-    g = spec.gamma
+    r = weights.alphabet
+    q = weights.q
     # Interval k has sign pattern (+1 for l < k, -1 for l >= k); its
     # stationary point is v - gamma * sum_l q_l * sign_l.
     csum = np.concatenate(([0.0], np.cumsum(q)))
     slopes = 2.0 * csum - csum[-1]
-    stationary = v[None, :] - g * slopes[:, None]
+    stationary = v[None, :] - gamma * slopes[:, None]
     breakpts = np.broadcast_to(r[:, None], (r.size, v.size))
     cand = np.vstack([stationary, breakpts])
     penalty = np.abs(cand[:, :, None] - r) @ q
-    objective = penalty + (cand - v) ** 2 / (2.0 * g)
+    objective = penalty + (cand - v) ** 2 / (2.0 * gamma)
     best = np.argmin(objective, axis=0)
     return cand[best, np.arange(v.size)]
-
-
-def prox_general(v: float, spec: ProxSpec) -> float:
-    """Scalar form of the exact general-alphabet prox."""
-    return float(prox_general_vector(np.array([v], dtype=float), spec)[0])

@@ -18,10 +18,8 @@ from soavmud.harness import ExperimentConfig, emit_csv, run_sweep
 from soavmud.model import bpsk_prior, gaussian_matrix, synthesize
 from soavmud.optim import QuadraticData, SolverConfig, estimate_lipschitz, fista, gradient
 from soavmud.soav import (
-    ProxSpec,
     SoavWeights,
     default_offset,
-    prox_ternary,
     prox_vector,
     soav_penalty,
     solve_weights,
@@ -68,8 +66,8 @@ def test_criterion_2_prox_oracle_equivalence():
         gamma = float(rng.uniform(0.01, 1.0))
         q = rng.uniform(0.0, 10.0, size=3)
         v = float(rng.uniform(-3.0, 3.0))
-        spec = ProxSpec(gamma=gamma, weights=SoavWeights(q=q, c=0.0), alphabet=TERNARY)
-        got = prox_ternary(v, spec)
+        weights = SoavWeights(q=q, c=0.0, alphabet=TERNARY)
+        got = prox_vector([v], gamma, weights)[0]
         oracle = prox_1d_exhaustive(v, gamma, q, TERNARY)
         worst = max(worst, abs(got - oracle))
     report(2, "prox oracle equivalence", worst < 1e-9,
@@ -89,13 +87,12 @@ def test_criterion_3_solver_correctness():
         L = estimate_lipschitz(data)
 
         def prox(z, gamma):
-            return prox_vector(z, ProxSpec(gamma=gamma, weights=weights,
-                                           alphabet=TERNARY))
+            return prox_vector(z, gamma, weights)
 
         config = SolverConfig(lipschitz=L, max_iters=2000, rel_tol=0.0,
                               record_trajectory=True)
         solved = fista(data, prox=prox, config=config,
-                       penalty=lambda x: soav_penalty(x, weights, TERNARY))
+                       penalty=lambda x: soav_penalty(x, weights))
         instances.append(inst)
         lipschitzes.append(L)
         reports.append((data, L, prox, solved))

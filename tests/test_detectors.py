@@ -275,8 +275,8 @@ class TestCommonContracts:
         rng = np.random.default_rng(15)
         inst = synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20), 0.05, rng)
         result = map_soav(inst, prior, DetectorConfig(kind="map_soav"))
-        assert soav_objective(result.raw, inst, weights, prior) <= soav_objective(
-            inst.b, inst, weights, prior
+        assert soav_objective(result.raw, inst, weights) <= soav_objective(
+            inst.b, inst, weights
         ) + 1e-6
 
     def test_config_validation(self):

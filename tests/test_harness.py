@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from soavmud import harness
 from soavmud.detectors import DetectorConfig, run_detector
 from soavmud.harness import (
     ExperimentConfig,
@@ -17,6 +18,18 @@ from soavmud.harness import (
 from soavmud.model import bpsk_prior, substream, synthesize
 from soavmud.optim import SolverConfig
 from soavmud.soav import default_offset, solve_weights
+
+
+def capture_instances(monkeypatch):
+    """List that collects every instance run_trial synthesizes from now on."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(synthesize(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "synthesize", recording)
+    return made
 
 
 def small_config(**overrides):
@@ -100,17 +113,25 @@ class TestRunTrial:
         b = run_trial(cfg, 10.0, 3)
         assert a == b
 
-    def test_distinct_trials_distinct_instances(self):
+    def test_distinct_trials_distinct_instances(self, monkeypatch):
+        made = capture_instances(monkeypatch)
         cfg = small_config()
-        digests = {run_trial(cfg, 10.0, i).instance_digest for i in range(6)}
-        assert len(digests) == 6
+        for i in range(6):
+            run_trial(cfg, 10.0, i)
+        assert len({inst.S.tobytes() for inst in made}) == 6
+        assert len({inst.y.tobytes() for inst in made}) == 6
 
-    def test_fixed_matrix_mode_changes_stream(self):
+    def test_fixed_matrix_mode_changes_stream(self, monkeypatch):
+        made = capture_instances(monkeypatch)
         cfg = small_config()
         fixed = small_config(fix_matrix=True)
-        assert run_trial(cfg, 10.0, 0).instance_digest != run_trial(
-            fixed, 10.0, 0
-        ).instance_digest
+        run_trial(cfg, 10.0, 0)
+        run_trial(fixed, 10.0, 0)
+        run_trial(fixed, 10.0, 1)
+        free, fixed_0, fixed_1 = made
+        assert not np.array_equal(free.S, fixed_0.S)
+        assert not np.array_equal(free.y, fixed_0.y)
+        np.testing.assert_array_equal(fixed_0.S, fixed_1.S)
         # Still deterministic in fixed mode.
         assert run_trial(fixed, 10.0, 1) == run_trial(fixed, 10.0, 1)
 

@@ -18,7 +18,7 @@ from soavmud.optim import (
     gradient,
     soft_threshold,
 )
-from soavmud.soav import ProxSpec, default_offset, prox_vector, soav_penalty, solve_weights
+from soavmud.soav import default_offset, prox_vector, soav_penalty, solve_weights
 
 TERNARY = (-1.0, 0.0, 1.0)
 
@@ -33,10 +33,10 @@ def make_soav_problem(seed, n=20, m=14, rho=0.8, snr_db=8.0):
     data = QuadraticData(B=inst.mix, y=inst.y, scale=1.0 / (2.0 * sigma_w2))
 
     def prox(z, gamma):
-        return prox_vector(z, ProxSpec(gamma=gamma, weights=weights, alphabet=TERNARY))
+        return prox_vector(z, gamma, weights)
 
     def penalty(x):
-        return soav_penalty(x, weights, TERNARY)
+        return soav_penalty(x, weights)
 
     return inst, data, weights, prox, penalty
 
@@ -114,10 +114,10 @@ class TestSoftThreshold:
     def test_matches_general_prox_with_single_point(self):
         from soavmud.soav import SoavWeights, prox_general_vector
 
-        spec = ProxSpec(gamma=1.0, weights=SoavWeights(q=(0.35,), c=0.0), alphabet=(0.0,))
+        weights = SoavWeights(q=(0.35,), c=0.0, alphabet=(0.0,))
         v = np.linspace(-3.0, 3.0, 601)
         np.testing.assert_allclose(
-            soft_threshold(v, 0.35), prox_general_vector(v, spec), atol=1e-12
+            soft_threshold(v, 0.35), prox_general_vector(v, 1.0, weights), atol=1e-12
         )
 
     def test_negative_gamma_rejected(self):

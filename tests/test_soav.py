@@ -6,15 +6,12 @@ import pytest
 from oracles import prox_1d_exhaustive, prox_objective_1d
 from soavmud.model import SymbolPrior, bpsk_prior, gaussian_matrix, synthesize
 from soavmud.soav import (
-    ProxSpec,
     SingularWeightSystemError,
     SoavWeights,
     UnsupportedAlphabetError,
     build_weight_system,
     default_offset,
-    prox_general,
     prox_general_vector,
-    prox_ternary,
     prox_vector,
     soav_objective,
     soav_penalty,
@@ -24,8 +21,8 @@ from soavmud.soav import (
 TERNARY = (-1.0, 0.0, 1.0)
 
 
-def ternary_spec(gamma, q):
-    return ProxSpec(gamma=gamma, weights=SoavWeights(q=q, c=0.0), alphabet=TERNARY)
+def ternary_weights(q):
+    return SoavWeights(q=q, c=0.0, alphabet=TERNARY)
 
 
 class TestWeightSystem:
@@ -101,6 +98,21 @@ class TestSolveWeights:
                 rhs = logp.sum() - logp[i] + c
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    def test_weights_carry_their_alphabet(self):
+        prior = bpsk_prior(0.8)
+        weights = solve_weights(prior, default_offset(prior))
+        np.testing.assert_array_equal(weights.alphabet, prior.alphabet)
+        assert weights.ternary
+
+    def test_alphabet_length_must_match_weights(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SoavWeights(q=(1.0, 1.0, 1.0), c=0.0, alphabet=(-1.0, 1.0))
+
+    def test_alphabet_must_increase_strictly(self):
+        for alphabet in ((1.0, 0.0, -1.0), (-1.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                SoavWeights(q=(1.0, 1.0, 1.0), c=0.0, alphabet=alphabet)
+
     def test_singular_system_raises(self):
         # A two-symbol alphabet gives R = [[0, d], [d, 0]] which is regular;
         # force singularity through a zero-distance duplicate via direct call.
@@ -117,18 +129,18 @@ class TestSoavObjective:
         rng = np.random.default_rng(2)
         inst = synthesize(prior, gaussian_matrix(7, 10, rng), np.ones(10), 0.5,
                           rng, noiseless=True)
-        value = soav_objective(inst.b, inst, weights, prior)
-        assert value == pytest.approx(soav_penalty(inst.b, weights, prior.alphabet))
+        value = soav_objective(inst.b, inst, weights)
+        assert value == pytest.approx(soav_penalty(inst.b, weights))
 
     def test_hand_evaluated_l1_terms(self):
         prior = bpsk_prior(0.5)
-        weights = SoavWeights(q=(1.0, 1.0, 1.0), c=0.0)
+        weights = SoavWeights(q=(1.0, 1.0, 1.0), c=0.0, alphabet=TERNARY)
         inst = synthesize(prior, np.eye(2), np.eye(2), 1.0,
                           np.random.default_rng(0), noiseless=True)
         # Force x = 0, y = 0: only the l1 spread terms remain.
         inst = type(inst)(S=inst.S, gains=inst.gains, sigma_w2=1.0,
                           b=inst.b, w=np.zeros(2), y=np.zeros(2))
-        assert soav_objective(np.zeros(2), inst, weights, prior) == pytest.approx(4.0)
+        assert soav_objective(np.zeros(2), inst, weights) == pytest.approx(4.0)
 
     def test_doubling_sigma_halves_data_term(self):
         prior = bpsk_prior(0.8)
@@ -136,11 +148,11 @@ class TestSoavObjective:
         rng = np.random.default_rng(5)
         inst = synthesize(prior, gaussian_matrix(6, 9, rng), np.ones(9), 0.2, rng)
         x = rng.standard_normal(9)
-        pen = soav_penalty(x, weights, prior.alphabet)
-        base = soav_objective(x, inst, weights, prior) - pen
+        pen = soav_penalty(x, weights)
+        base = soav_objective(x, inst, weights) - pen
         doubled = type(inst)(S=inst.S, gains=inst.gains, sigma_w2=0.4,
                              b=inst.b, w=inst.w, y=inst.y)
-        assert soav_objective(x, doubled, weights, prior) - pen == pytest.approx(
+        assert soav_objective(x, doubled, weights) - pen == pytest.approx(
             base / 2.0, rel=1e-12
         )
 
@@ -150,23 +162,23 @@ class TestSoavObjective:
         rng = np.random.default_rng(5)
         inst = synthesize(prior, gaussian_matrix(6, 9, rng), np.ones(9), 0.2, rng)
         with pytest.raises(ValueError):
-            soav_objective(np.zeros(8), inst, weights, prior)
+            soav_objective(np.zeros(8), inst, weights)
 
 
 class TestProxTernary:
     def test_identity_when_weights_vanish(self):
-        spec = ternary_spec(0.7, (0.0, 0.0, 0.0))
+        weights = ternary_weights((0.0, 0.0, 0.0))
         for v in (-5.0, -0.3, 0.0, 1.0, 9.9):
-            assert prox_ternary(v, spec) == v
+            assert prox_vector([v], 0.7, weights)[0] == v
 
     def test_reference_points_against_oracle(self):
         # Frozen values confirmed with the exhaustive 1-D oracle.
-        spec = ternary_spec(0.1, (5.0, 2.0794, 5.0))
+        weights = ternary_weights((5.0, 2.0794, 5.0))
         cases = [(0.0, 0.0), (0.5, 0.29206), (-3.0, -1.79206)]
         for v, expected in cases:
-            assert prox_ternary(v, spec) == pytest.approx(expected, abs=1e-12)
+            assert prox_vector([v], 0.1, weights)[0] == pytest.approx(expected, abs=1e-12)
             oracle = prox_1d_exhaustive(v, 0.1, (5.0, 2.0794, 5.0), TERNARY)
-            assert prox_ternary(v, spec) == pytest.approx(oracle, abs=1e-9)
+            assert prox_vector([v], 0.1, weights)[0] == pytest.approx(oracle, abs=1e-9)
 
     def test_matches_oracle_on_random_convex_cases(self):
         rng = np.random.default_rng(2024)
@@ -174,56 +186,63 @@ class TestProxTernary:
             gamma = float(rng.uniform(0.01, 1.0))
             q = rng.uniform(0.0, 10.0, size=3)
             v = float(rng.uniform(-3.0, 3.0))
-            spec = ternary_spec(gamma, q)
             oracle = prox_1d_exhaustive(v, gamma, q, TERNARY)
-            assert prox_ternary(v, spec) == pytest.approx(oracle, abs=1e-9)
+            assert prox_vector([v], gamma, ternary_weights(q))[0] == pytest.approx(
+                oracle, abs=1e-9
+            )
 
     def test_monotone_and_nonexpansive_for_convex_weights(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
-            spec = ternary_spec(float(rng.uniform(0.05, 0.8)), rng.uniform(0.0, 5.0, 3))
+            gamma = float(rng.uniform(0.05, 0.8))
+            weights = ternary_weights(rng.uniform(0.0, 5.0, 3))
             v = np.sort(rng.uniform(-4.0, 4.0, size=200))
-            out = prox_vector(v, spec)
+            out = prox_vector(v, gamma, weights)
             diffs = np.diff(out)
             assert np.all(diffs >= -1e-12)
             assert np.all(diffs <= np.diff(v) + 1e-12)
 
     def test_nonconvex_zero_branch_never_fires(self):
         weights = solve_weights(bpsk_prior(0.05), default_offset(bpsk_prior(0.05)))
-        spec = ProxSpec(gamma=0.1, weights=weights, alphabet=TERNARY)
         v = np.linspace(-0.2, 0.2, 81)
-        out = prox_vector(v, spec)
+        out = prox_vector(v, 0.1, weights)
         assert not np.any(out == 0.0)
 
     def test_wrong_alphabet_is_rejected(self):
-        spec = ProxSpec(gamma=0.1, weights=SoavWeights(q=(1.0, 1.0), c=0.0),
-                        alphabet=(-2.0, 2.0))
+        weights = SoavWeights(q=(1.0, 1.0), c=0.0, alphabet=(-2.0, 2.0))
         with pytest.raises(UnsupportedAlphabetError):
-            prox_ternary(0.3, spec)
+            prox_vector([0.3], 0.1, weights)
+
+    def test_nonpositive_gamma_is_rejected(self):
+        weights = ternary_weights((1.0, 1.0, 1.0))
+        for prox in (prox_vector, prox_general_vector):
+            for gamma in (0.0, -0.1):
+                with pytest.raises(ValueError, match="gamma"):
+                    prox([0.3], gamma, weights)
 
 
 class TestProxGeneral:
     def test_single_point_reduces_to_soft_threshold(self):
-        spec = ProxSpec(gamma=1.0, weights=SoavWeights(q=(0.5,), c=0.0), alphabet=(0.0,))
-        assert prox_general(2.0, spec) == pytest.approx(1.5, abs=1e-12)
+        weights = SoavWeights(q=(0.5,), c=0.0, alphabet=(0.0,))
+        assert prox_general_vector([2.0], 1.0, weights)[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_agrees_with_ternary_on_convex_grid(self):
-        spec = ternary_spec(0.1, (5.0, 2.0794, 5.0))
+        weights = ternary_weights((5.0, 2.0794, 5.0))
         v = np.linspace(-3.0, 3.0, 601)
         np.testing.assert_allclose(
-            prox_general_vector(v, spec), prox_vector(v, spec), atol=1e-12
+            prox_general_vector(v, 0.1, weights), prox_vector(v, 0.1, weights), atol=1e-12
         )
 
     def test_nonconvex_global_minimizer(self):
         q = (6.1256, -2.2513, 6.1256)
-        spec = ternary_spec(0.1, q)
-        exact = prox_general(0.0, spec)
+        weights = ternary_weights(q)
+        exact = prox_general_vector([0.0], 0.1, weights)[0]
         oracle = prox_1d_exhaustive(0.0, 0.1, q, TERNARY)
         assert exact == pytest.approx(oracle, abs=1e-9)
         # The printed piecewise formula need not return the global minimizer
         # here; both values must still be valid inputs to the objective and
         # the exact one can never be worse.
-        piecewise = prox_ternary(0.0, spec)
+        piecewise = prox_vector([0.0], 0.1, weights)[0]
         assert prox_objective_1d(exact, 0.0, 0.1, q, TERNARY) <= prox_objective_1d(
             piecewise, 0.0, 0.1, q, TERNARY
         ) + 1e-12
@@ -234,8 +253,7 @@ class TestProxGeneral:
             gamma = float(rng.uniform(0.02, 1.0))
             q = rng.uniform(-3.0, 8.0, size=3)
             v = float(rng.uniform(-3.0, 3.0))
-            spec = ternary_spec(gamma, q)
-            got = prox_general(v, spec)
+            got = prox_general_vector([v], gamma, ternary_weights(q))[0]
             oracle = prox_1d_exhaustive(v, gamma, q, TERNARY)
             assert prox_objective_1d(got, v, gamma, q, TERNARY) == pytest.approx(
                 prox_objective_1d(oracle, v, gamma, q, TERNARY), abs=1e-9
