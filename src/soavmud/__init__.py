@@ -67,7 +67,6 @@ from .soav import (
     UnsupportedAlphabetError,
     build_weight_system,
     default_offset,
-    prox_general_vector,
     prox_vector,
     soav_objective,
     soav_penalty,

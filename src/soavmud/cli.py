@@ -82,7 +82,7 @@ def _detector_from_dict(doc: dict) -> DetectorConfig:
         max_iters=int(doc.pop("max_iters", 500)),
         rel_tol=float(doc.pop("rel_tol", 1e-8)),
     )
-    known = {key: doc.pop(key) for key in ("lam", "alpha", "offset", "exact_prox") if key in doc}
+    known = {key: doc.pop(key) for key in ("lam", "alpha", "offset") if key in doc}
     if doc:
         raise ValueError(f"unknown detector fields: {sorted(doc)}")
     return DetectorConfig(kind=kind, solver=solver, **known)
@@ -141,10 +141,11 @@ def _experiment_from_args(args, axis: str) -> ExperimentConfig:
         if not isinstance(snr, list):
             snr = [float(snr)]
         rho = float(_pick(args.rho, file_doc, "rho", 0.8))
+        sigma2 = _pick(args.sigma2, file_doc, "sigma_w2_override", None)
         return ExperimentConfig(
             rho=rho,
             snr_db=snr[0] if len(snr) == 1 else tuple(snr),
-            sigma_w2_override=_pick(args.sigma2, file_doc, "sigma_w2_override", None),
+            sigma_w2_override=None if sigma2 is None else float(sigma2),
             **common,
         )
     rho = parse_axis(args.rho) if args.rho else file_doc.get("rho", None)

@@ -7,6 +7,7 @@ ternary decision. The continuous detectors share the same quantizer
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,7 +18,6 @@ from .optim import QuadraticData, SolveReport, SolverConfig, fista, soft_thresho
 from .soav import (
     UnsupportedAlphabetError,
     default_offset,
-    prox_general_vector,
     prox_vector,
     soav_penalty,
     solve_weights,
@@ -55,14 +55,15 @@ class DetectorConfig:
     lam: float = 30.0        # weight on the quadratic term of the LASSO objective
     alpha: float = 0.5       # decision threshold of the ternary quantizer
     offset: float = 10.0     # additive margin in the weight-offset rule
-    exact_prox: bool = False  # use the exact 1-D prox instead of the closed form
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not math.isfinite(self.offset):
+            raise ValueError("offset must be finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
 
@@ -134,21 +135,20 @@ def map_soav(
 
     Calibrates the penalty weights from the prior, then minimizes
     ||y - S A x||^2 / (2 sigma_w2) + sum_l q_l ||x - r_l 1||_1 by accelerated
-    proximal gradient with the closed-form ternary prox (or the exact 1-D
-    prox when config.exact_prox is set), and quantizes the result.
+    proximal gradient with the closed-form ternary prox, and quantizes the
+    result.
     """
-    if not prior.is_ternary():
+    weights = solve_weights(prior, default_offset(prior, config.offset))
+    if not weights.ternary:
         raise UnsupportedAlphabetError(
             "map_soav supports the ternary alphabet (-1, 0, 1) only"
         )
-    weights = solve_weights(prior, default_offset(prior, config.offset))
     data = QuadraticData(
         B=instance.mix, y=instance.y, scale=1.0 / (2.0 * instance.sigma_w2)
     )
-    elementwise = prox_general_vector if config.exact_prox else prox_vector
 
     def prox(z, gamma):
-        return elementwise(z, gamma, weights)
+        return prox_vector(z, gamma, weights)
 
     report = fista(
         data,

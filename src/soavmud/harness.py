@@ -11,6 +11,7 @@ execution order and of the degree of parallelism.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Optional, Union
@@ -109,8 +110,10 @@ class ExperimentConfig:
                     )
             else:
                 object.__setattr__(self, "snr_db", float(snr))
-        if self.sigma_w2_override is not None and self.sigma_w2_override <= 0.0:
-            raise ValueError("sigma_w2_override must be positive")
+        if self.sigma_w2_override is not None and not 0.0 < self.sigma_w2_override < math.inf:
+            raise ValueError("sigma_w2_override must be positive and finite")
+        if self.snr_db is not None and not all(map(math.isfinite, self.axis_points)):
+            raise ValueError("every snr_db must be finite")
         for r in self.rho_values():
             if not 0.0 < r < 1.0:
                 raise ValueError("every rho must lie strictly inside (0, 1)")
@@ -152,15 +155,12 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Aggregated error statistics for one axis point."""
+    """Aggregated error statistics for one axis point of ``config``."""
 
-    axis: str
     axis_value: float
     means: dict            # detector kind -> mean error ratio over successful trials
     std_errs: dict         # detector kind -> standard error of that mean
     failures: dict         # detector kind -> number of failed trials
-    trials: int
-    master_seed: int
     config: ExperimentConfig
 
 
@@ -237,13 +237,10 @@ def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepRes
                 else 0.0
             )
     return SweepResult(
-        axis=config.axis,
         axis_value=float(axis_value),
         means=means,
         std_errs=std_errs,
         failures=failures,
-        trials=config.trials,
-        master_seed=config.master_seed,
         config=config,
     )
 
@@ -295,7 +292,6 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
             parts.append(f"lam={_fmt(det.lam)}")
         if det.kind == "map_soav":
             parts.append(f"offset={_fmt(det.offset)}")
-            parts.append(f"exact_prox={det.exact_prox}")
         if det.kind in ("lasso", "map_soav"):
             parts.append(
                 f"max_iters={det.solver.max_iters} rel_tol={_fmt(det.solver.rel_tol)}"
@@ -317,7 +313,7 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
         for kind, count in res.failures.items():
             if count:
                 failure_lines.append(
-                    f"# failures {res.axis}={_fmt(res.axis_value)} {kind}: {count}"
+                    f"# failures {config.axis}={_fmt(res.axis_value)} {kind}: {count}"
                 )
     return lines + failure_lines
 
@@ -336,17 +332,17 @@ def emit_csv(results, destination) -> None:
     lines.append("axis,axis_value,detector,trials,error_ratio,std_err,master_seed")
     for res in results:
         for det in config.detectors:
-            used = res.trials - res.failures[det.kind]
+            used = config.trials - res.failures[det.kind]
             lines.append(
                 ",".join(
                     (
-                        res.axis,
+                        config.axis,
                         _fmt(res.axis_value),
                         det.kind,
                         str(used),
                         _fmt(res.means[det.kind]),
                         _fmt(res.std_errs[det.kind]),
-                        str(res.master_seed),
+                        str(config.master_seed),
                     )
                 )
             )

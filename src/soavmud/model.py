@@ -60,12 +60,6 @@ class SymbolPrior:
     def n_symbols(self) -> int:
         return int(self.alphabet.size)
 
-    def is_ternary(self) -> bool:
-        """True for the on-off BPSK alphabet {-1, 0, +1}."""
-        return self.alphabet.size == 3 and np.array_equal(
-            self.alphabet, (-1.0, 0.0, 1.0)
-        )
-
 
 def bpsk_prior(rho: float) -> SymbolPrior:
     """On-off BPSK prior: P(0) = rho, P(-1) = P(+1) = (1 - rho) / 2.

@@ -77,12 +77,12 @@ class SolverConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if self.lipschitz is not None and self.lipschitz <= 0.0:
-            raise ValueError("lipschitz must be positive when given")
+        if self.lipschitz is not None and not 0.0 < self.lipschitz < math.inf:
+            raise ValueError("lipschitz must be positive and finite when given")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be nonnegative")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)

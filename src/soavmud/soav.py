@@ -25,7 +25,6 @@ __all__ = [
     "soav_penalty",
     "soav_objective",
     "prox_vector",
-    "prox_general_vector",
 ]
 
 _RESIDUAL_TOL = 1e-9
@@ -139,9 +138,7 @@ def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
     defined even when negative weights make some intervals empty.
     """
     if not weights.ternary:
-        raise UnsupportedAlphabetError(
-            "closed-form prox requires alphabet (-1, 0, 1); use prox_general_vector"
-        )
+        raise UnsupportedAlphabetError("closed-form prox requires alphabet (-1, 0, 1)")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     v = np.asarray(values, dtype=float)
@@ -165,28 +162,3 @@ def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
     out = np.where(v < edge1, -1.0, out)
     out = np.where(v < edge0, v - lo, out)
     return out
-
-
-def prox_general_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
-    """Exact elementwise prox for any alphabet and any (possibly negative) weights.
-
-    Minimizes sum_l q_l |u - r_l| + (u - v)^2 / (2 gamma) by enumerating the
-    stationary point of every inter-breakpoint interval together with the
-    breakpoints themselves, then picking the candidate of least objective.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    v = np.asarray(values, dtype=float)
-    r = weights.alphabet
-    q = weights.q
-    # Interval k has sign pattern (+1 for l < k, -1 for l >= k); its
-    # stationary point is v - gamma * sum_l q_l * sign_l.
-    csum = np.concatenate(([0.0], np.cumsum(q)))
-    slopes = 2.0 * csum - csum[-1]
-    stationary = v[None, :] - gamma * slopes[:, None]
-    breakpts = np.broadcast_to(r[:, None], (r.size, v.size))
-    cand = np.vstack([stationary, breakpts])
-    penalty = np.abs(cand[:, :, None] - r) @ q
-    objective = penalty + (cand - v) ** 2 / (2.0 * gamma)
-    best = np.argmin(objective, axis=0)
-    return cand[best, np.arange(v.size)]

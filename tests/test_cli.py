@@ -120,6 +120,34 @@ class TestCommands:
         assert "trials=3" in out          # flag wins
         assert "master_seed=11" in out    # file value survives
 
+    def test_config_file_numeric_string_sigma2(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(
+            {"sigma_w2_override": "0.1", "detectors": [{"kind": "lmmse"}]}
+        ))
+        code = main(["simulate", "--config", str(path), "--users", "8", "--meas", "6",
+                     "--trials", "2"])
+        assert code == 0
+        assert "# sigma_w2=0.1" in capsys.readouterr().out
+
+    def test_config_file_unknown_detector_field_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(
+            {"detectors": [{"kind": "map_soav", "exact_prox": True}]}
+        ))
+        code = main(["simulate", "--config", str(path), "--users", "8", "--meas", "6",
+                     "--trials", "1"])
+        assert code == 1
+        assert "unknown detector fields: ['exact_prox']" in capsys.readouterr().err
+
+    def test_nan_sigma2_returns_error_code(self, capsys):
+        code = main([
+            "simulate", "--users", "10", "--meas", "7", "--trials", "3",
+            "--snr", "12", "--sigma2", "nan",
+        ])
+        assert code == 1
+        assert "sigma_w2_override must be positive and finite" in capsys.readouterr().err
+
     def test_invalid_rho_returns_error_code(self, capsys):
         code = main([
             "simulate", "--users", "8", "--meas", "6", "--rho", "1.0",

@@ -142,14 +142,6 @@ class TestMapSoav:
         result = map_soav(inst, prior, DetectorConfig(kind="map_soav"))
         np.testing.assert_array_equal(result.raw, np.zeros(6))
 
-    def test_exact_prox_path_matches_closed_form_when_convex(self):
-        prior = bpsk_prior(0.8)
-        rng = np.random.default_rng(6)
-        inst = synthesize(prior, gaussian_matrix(7, 10, rng), np.ones(10), 0.05, rng)
-        closed = map_soav(inst, prior, DetectorConfig(kind="map_soav"))
-        exact = map_soav(inst, prior, DetectorConfig(kind="map_soav", exact_prox=True))
-        np.testing.assert_allclose(exact.raw, closed.raw, atol=1e-9)
-
     def test_paired_trials_beat_lasso_on_sparse_prior(self):
         # 500 paired realizations at N=10, M=7, rho=0.8, SNR 14 dB.
         prior = bpsk_prior(0.8)

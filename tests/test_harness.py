@@ -91,6 +91,23 @@ class TestExperimentConfig:
             ExperimentConfig(detectors=(DetectorConfig(kind="lmmse"),
                                         DetectorConfig(kind="lmmse")))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: ExperimentConfig(snr_db=(12.0, v)),
+            lambda v: ExperimentConfig(snr_db=12.0, sigma_w2_override=v),
+            lambda v: DetectorConfig(kind="lasso", lam=v),
+            lambda v: DetectorConfig(kind="map_soav", offset=v),
+            lambda v: SolverConfig(rel_tol=v),
+            lambda v: SolverConfig(lipschitz=v),
+        ],
+        ids=["snr_db", "sigma_w2_override", "lam", "offset", "rel_tol", "lipschitz"],
+    )
+    def test_non_finite_value_rejected(self, build):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                build(value)
+
     def test_axis_properties(self):
         snr_cfg = small_config()
         assert snr_cfg.axis == "snr_db"
@@ -194,7 +211,7 @@ class TestRunSweep:
         )
         results = run_sweep(cfg)
         assert [r.axis_value for r in results] == [0.2, 0.8]
-        assert all(r.axis == "rho" for r in results)
+        assert all(r.config.axis == "rho" for r in results)
 
     def test_results_ordered_by_axis(self):
         results = run_sweep(small_config())

@@ -21,7 +21,6 @@ class TestSymbolPrior:
         prior = bpsk_prior(0.8)
         np.testing.assert_allclose(prior.alphabet, [-1.0, 0.0, 1.0])
         np.testing.assert_allclose(prior.probs, [0.1, 0.8, 0.1])
-        assert prior.is_ternary()
 
     def test_rejects_unsorted_alphabet(self):
         with pytest.raises(ValueError):

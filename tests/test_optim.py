@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     central_difference_gradient,
+    prox_vector_exhaustive,
     soav_objective_ref,
     soav_prox_gradient_oracle,
 )
@@ -112,12 +113,11 @@ class TestSoftThreshold:
         assert soft_threshold(-2.0, 0.5) == -1.5
 
     def test_matches_general_prox_with_single_point(self):
-        from soavmud.soav import SoavWeights, prox_general_vector
-
-        weights = SoavWeights(q=(0.35,), c=0.0, alphabet=(0.0,))
         v = np.linspace(-3.0, 3.0, 601)
         np.testing.assert_allclose(
-            soft_threshold(v, 0.35), prox_general_vector(v, 1.0, weights), atol=1e-12
+            soft_threshold(v, 0.35),
+            prox_vector_exhaustive(v, 1.0, (0.35,), (0.0,)),
+            atol=1e-12,
         )
 
     def test_negative_gamma_rejected(self):

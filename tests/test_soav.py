@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import prox_1d_exhaustive, prox_objective_1d
+from oracles import prox_1d_exhaustive
 from soavmud.model import SymbolPrior, bpsk_prior, gaussian_matrix, synthesize
 from soavmud.soav import (
     SingularWeightSystemError,
@@ -11,7 +11,6 @@ from soavmud.soav import (
     UnsupportedAlphabetError,
     build_weight_system,
     default_offset,
-    prox_general_vector,
     prox_vector,
     soav_objective,
     soav_penalty,
@@ -215,46 +214,6 @@ class TestProxTernary:
 
     def test_nonpositive_gamma_is_rejected(self):
         weights = ternary_weights((1.0, 1.0, 1.0))
-        for prox in (prox_vector, prox_general_vector):
-            for gamma in (0.0, -0.1):
-                with pytest.raises(ValueError, match="gamma"):
-                    prox([0.3], gamma, weights)
-
-
-class TestProxGeneral:
-    def test_single_point_reduces_to_soft_threshold(self):
-        weights = SoavWeights(q=(0.5,), c=0.0, alphabet=(0.0,))
-        assert prox_general_vector([2.0], 1.0, weights)[0] == pytest.approx(1.5, abs=1e-12)
-
-    def test_agrees_with_ternary_on_convex_grid(self):
-        weights = ternary_weights((5.0, 2.0794, 5.0))
-        v = np.linspace(-3.0, 3.0, 601)
-        np.testing.assert_allclose(
-            prox_general_vector(v, 0.1, weights), prox_vector(v, 0.1, weights), atol=1e-12
-        )
-
-    def test_nonconvex_global_minimizer(self):
-        q = (6.1256, -2.2513, 6.1256)
-        weights = ternary_weights(q)
-        exact = prox_general_vector([0.0], 0.1, weights)[0]
-        oracle = prox_1d_exhaustive(0.0, 0.1, q, TERNARY)
-        assert exact == pytest.approx(oracle, abs=1e-9)
-        # The printed piecewise formula need not return the global minimizer
-        # here; both values must still be valid inputs to the objective and
-        # the exact one can never be worse.
-        piecewise = prox_vector([0.0], 0.1, weights)[0]
-        assert prox_objective_1d(exact, 0.0, 0.1, q, TERNARY) <= prox_objective_1d(
-            piecewise, 0.0, 0.1, q, TERNARY
-        ) + 1e-12
-
-    def test_random_cases_never_beat_oracle(self):
-        rng = np.random.default_rng(55)
-        for _ in range(200):
-            gamma = float(rng.uniform(0.02, 1.0))
-            q = rng.uniform(-3.0, 8.0, size=3)
-            v = float(rng.uniform(-3.0, 3.0))
-            got = prox_general_vector([v], gamma, ternary_weights(q))[0]
-            oracle = prox_1d_exhaustive(v, gamma, q, TERNARY)
-            assert prox_objective_1d(got, v, gamma, q, TERNARY) == pytest.approx(
-                prox_objective_1d(oracle, v, gamma, q, TERNARY), abs=1e-9
-            )
+        for gamma in (0.0, -0.1):
+            with pytest.raises(ValueError, match="gamma"):
+                prox_vector([0.3], gamma, weights)
