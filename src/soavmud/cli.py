@@ -77,9 +77,10 @@ def _detector_from_dict(doc: dict) -> DetectorConfig:
     kind = _CANONICAL_KINDS.get(str(doc.pop("kind", "")).lower())
     if kind is None:
         raise ValueError("detector entries need a valid 'kind'")
+    lipschitz = doc.pop("lipschitz", None)
     solver = SolverConfig(
-        lipschitz=doc.pop("lipschitz", None),
-        max_iters=int(doc.pop("max_iters", 500)),
+        lipschitz=None if lipschitz is None else float(lipschitz),
+        max_iters=_json_typed(doc.pop("max_iters", 500), int, "max_iters"),
         rel_tol=float(doc.pop("rel_tol", 1e-8)),
     )
     known = {key: doc.pop(key) for key in ("lam", "alpha", "offset") if key in doc}
@@ -96,12 +97,22 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _pick(args_value, file_doc: dict, key: str, default):
-    if args_value is not None:
-        return args_value
-    if key in file_doc:
-        return file_doc[key]
-    return default
+def _json_typed(value, kind: type, key: str):
+    """Return a config value that already has JSON type ``kind``, int or bool.
+
+    Nothing is coerced: 2.9 or "2" is no integer, "false" no boolean, and a
+    boolean is no integer although Python's bool subclasses int.
+    """
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    expected = "a JSON boolean" if kind is bool else "a JSON integer"
+    raise ValueError(f"{key} must be {expected}, got {value!r}")
+
+
+def _pick(args_value, file_doc: dict, key: str, default, kind: type = None):
+    """The flag's value, else the file's, else the default; checked against ``kind``."""
+    value = args_value if args_value is not None else file_doc.get(key, default)
+    return value if kind is None else _json_typed(value, kind, key)
 
 
 def _build_detector_list(kinds, args, file_doc) -> tuple:
@@ -111,7 +122,7 @@ def _build_detector_list(kinds, args, file_doc) -> tuple:
             return tuple(_detector_from_dict(d) for d in file_dets)
         kinds = ["lmmse", "lasso", "map_soav"]
     solver = SolverConfig(
-        max_iters=int(_pick(args.max_iters, file_doc, "max_iters", 500)),
+        max_iters=_pick(args.max_iters, file_doc, "max_iters", 500, int),
         rel_tol=float(_pick(args.rel_tol, file_doc, "rel_tol", 1e-8)),
     )
     common = dict(
@@ -128,12 +139,12 @@ def _experiment_from_args(args, axis: str) -> ExperimentConfig:
     kinds = parse_detectors(args.detectors) if args.detectors else None
     detectors = _build_detector_list(kinds, args, file_doc)
     common = dict(
-        n_users=int(_pick(args.users, file_doc, "n_users", 100)),
-        n_meas=int(_pick(args.meas, file_doc, "n_meas", 70)),
-        trials=int(_pick(args.trials, file_doc, "trials", 1000)),
-        master_seed=int(_pick(args.seed, file_doc, "master_seed", 0)),
-        parallelism=int(_pick(args.parallelism, file_doc, "parallelism", 1)),
-        fix_matrix=bool(_pick(args.fix_matrix or None, file_doc, "fix_matrix", False)),
+        n_users=_pick(args.users, file_doc, "n_users", 100, int),
+        n_meas=_pick(args.meas, file_doc, "n_meas", 70, int),
+        trials=_pick(args.trials, file_doc, "trials", 1000, int),
+        master_seed=_pick(args.seed, file_doc, "master_seed", 0, int),
+        parallelism=_pick(args.parallelism, file_doc, "parallelism", 1, int),
+        fix_matrix=_pick(args.fix_matrix or None, file_doc, "fix_matrix", False, bool),
         detectors=detectors,
     )
     if axis == "snr_db":

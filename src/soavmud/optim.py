@@ -123,7 +123,7 @@ def estimate_lipschitz(
         Bv = B @ v
         estimate = float(Bv @ Bv)
         w = B.T @ Bv
-        norm_w = np.linalg.norm(w)
+        norm_w = math.sqrt(w.dot(w))
         if norm_w == 0.0:
             # Start vector landed in the null space; try a fresh direction.
             v = rng.standard_normal(B.shape[1])
@@ -170,29 +170,35 @@ def fista(
     gamma = 1.0 / L
     two_scale = 2.0 * data.scale
     g = penalty if penalty is not None else (lambda _x: 0.0)
-    n = data.B.shape[1]
-    x_prev = np.zeros(n)
+    B, y = data.B, data.y
+    Bt = B.T
+    x_prev = np.zeros(B.shape[1])
     x_tilde = x_prev
     x = x_prev
     t = 1.0
     trace = [] if config.record_trajectory else None
     iterations = 0
     for k in range(1, config.max_iters + 1):
-        grad = two_scale * (data.B.T @ (data.B @ x_tilde - data.y))
+        grad = two_scale * (Bt @ (B @ x_tilde - y))
         x = prox(x_tilde - gamma * grad, gamma)
-        if not np.all(np.isfinite(x)):
+        d = x - x_prev
+        # dot() is what np.linalg.norm computes for a vector; the squared step
+        # of a non-finite iterate is never finite, but a finite one can overflow.
+        sq = d.dot(d)
+        if not math.isfinite(sq) and not np.all(np.isfinite(x)):
             raise DivergenceError(
                 "solver produced a non-finite iterate; the Lipschitz bound is too small"
             )
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        x_tilde = x + ((t - 1.0) / t_next) * (x - x_prev)
+        x_tilde = x + ((t - 1.0) / t_next) * d
         iterations = k
         if trace is not None:
             trace.append(data.value(x) + g(x))
-        step = np.linalg.norm(x - x_prev)
         x_prev = x
         t = t_next
-        if config.rel_tol > 0.0 and step <= config.rel_tol * (1.0 + np.linalg.norm(x)):
+        if config.rel_tol > 0.0 and math.sqrt(sq) <= config.rel_tol * (
+            1.0 + math.sqrt(x.dot(x))
+        ):
             break
     return SolveReport(
         solution=x,

@@ -29,6 +29,8 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-9
 _TERNARY = np.array([-1.0, 0.0, 1.0])
+# Slope of each ternary prox branch: shifts of v alternate with the constants -1, 0, 1.
+_SLOPE = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
 
 class SingularWeightSystemError(ValueError):
@@ -133,32 +135,29 @@ def soav_objective(x, instance: SystemInstance, weights: SoavWeights) -> float:
 def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
     """Closed-form ternary prox of gamma * g, applied elementwise.
 
-    Seven affine branches separated by six breakpoints; branches are tested
-    top to bottom and the first matching one wins, so the map stays well
-    defined even when negative weights make some intervals empty.
+    Seven branches separated by six breakpoints, alternately a shift v - s
+    (slope 1) and a constant (slope 0). Branch i serves v below breakpoint i
+    and the first matching branch wins, so the map stays well defined even
+    when negative weights make some intervals empty. One sorted search over
+    the running maximum of the breakpoints finds that first branch: a
+    breakpoint below an earlier one can never be the first above v. NaN
+    sorts past every breakpoint and lands on the last branch.
     """
     if not weights.ternary:
         raise UnsupportedAlphabetError("closed-form prox requires alphabet (-1, 0, 1)")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     v = np.asarray(values, dtype=float)
-    q0, q1, q2 = weights.q
+    q0, q1, q2 = weights.q.tolist()
     lo = gamma * (-q0 - q1 - q2)
     inner_lo = gamma * (q0 - q1 - q2)
     inner_hi = gamma * (q0 + q1 - q2)
     hi = gamma * (q0 + q1 + q2)
-    edge0 = -1.0 + lo
-    edge1 = -1.0 + inner_lo
-    edge2 = inner_lo
-    edge3 = inner_hi
-    edge4 = 1.0 + inner_hi
-    edge5 = 1.0 + hi
-    # Built from the last branch upward so earlier branches take precedence.
-    out = v - hi
-    out = np.where(v < edge5, 1.0, out)
-    out = np.where(v < edge4, v - inner_hi, out)
-    out = np.where(v < edge3, 0.0, out)
-    out = np.where(v < edge2, v - inner_lo, out)
-    out = np.where(v < edge1, -1.0, out)
-    out = np.where(v < edge0, v - lo, out)
-    return out
+    edges = np.maximum.accumulate(
+        [-1.0 + lo, -1.0 + inner_lo, inner_lo, inner_hi, 1.0 + inner_hi, 1.0 + hi]
+    )
+    # v * 1 + (-s) is v - s exactly, and v * 0 + c is c for finite v; an
+    # infinite v only reaches the two outer branches, which have slope 1.
+    const = np.array([-lo, -1.0, -inner_lo, 0.0, -inner_hi, 1.0, -hi])
+    idx = np.searchsorted(edges, v, side="right")
+    return v * _SLOPE[idx] + const[idx]

@@ -5,6 +5,8 @@ Everything here deliberately uses the dumbest correct method available
 iterations, dense grids) and never calls the library code it checks.
 """
 
+import math
+
 import numpy as np
 
 
@@ -117,6 +119,101 @@ def batched_soav_prox_gradient_oracle(Bs, ys, sigma_w2s, q, alphabet, lipschitze
         z = (x - steps[:, None] * grad).ravel()
         x = prox_vector_exhaustive(z, gammas, q, alphabet).reshape(n_inst, n)
     return x
+
+
+def ternary_prox_breakpoints(gamma, q):
+    """The six breakpoints of the closed-form ternary prox of gamma * g, in branch order."""
+    q0, q1, q2 = q
+    lo = gamma * (-q0 - q1 - q2)
+    inner_lo = gamma * (q0 - q1 - q2)
+    inner_hi = gamma * (q0 + q1 - q2)
+    hi = gamma * (q0 + q1 + q2)
+    return (-1.0 + lo, -1.0 + inner_lo, inner_lo, inner_hi, 1.0 + inner_hi, 1.0 + hi)
+
+
+def ternary_prox_cascade(values, gamma, q):
+    """Closed-form ternary prox as a cascade of seven np.where passes.
+
+    Branches are tested top to bottom and the first matching one wins; the
+    cascade is built from the last branch upward so earlier branches take
+    precedence. Kept as the bit-level reference for the library's one-pass
+    evaluation of the same map.
+    """
+    v = np.asarray(values, dtype=float)
+    q0, q1, q2 = q
+    lo = gamma * (-q0 - q1 - q2)
+    inner_lo = gamma * (q0 - q1 - q2)
+    inner_hi = gamma * (q0 + q1 - q2)
+    hi = gamma * (q0 + q1 + q2)
+    edge0, edge1, edge2, edge3, edge4, edge5 = ternary_prox_breakpoints(gamma, q)
+    out = v - hi
+    out = np.where(v < edge5, 1.0, out)
+    out = np.where(v < edge4, v - inner_hi, out)
+    out = np.where(v < edge3, 0.0, out)
+    out = np.where(v < edge2, v - inner_lo, out)
+    out = np.where(v < edge1, -1.0, out)
+    out = np.where(v < edge0, v - lo, out)
+    return out
+
+
+def power_iteration_lipschitz(B, scale, rel_tol=1e-6, max_iters=1000, seed=0x51BB):
+    """Power-iteration bound 1.01 * 2 * scale * sigma_max(B)^2, with np.linalg.norm.
+
+    The same start vector, stopping rule and safety factor as the library's
+    estimate, written with the straightforward norm calls, so the two must
+    agree bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(B.shape[1])
+    v /= np.linalg.norm(v)
+    top = 0.0
+    for _ in range(max_iters):
+        Bv = B @ v
+        estimate = float(Bv @ Bv)
+        w = B.T @ Bv
+        norm_w = np.linalg.norm(w)
+        if norm_w == 0.0:
+            v = rng.standard_normal(B.shape[1])
+            v /= np.linalg.norm(v)
+            continue
+        v = w / norm_w
+        if abs(estimate - top) <= rel_tol * estimate:
+            top = estimate
+            break
+        top = estimate
+    return 1.01 * 2.0 * scale * top
+
+
+def fista_reference(B, y, scale, prox, penalty, lipschitz, max_iters, rel_tol):
+    """FISTA for scale * ||y - B x||^2 + g(x), written step by step.
+
+    Recomputes x - x_prev for the momentum and for the step, takes both
+    norms with np.linalg.norm and checks every iterate with np.isfinite, so
+    it is the bit-level reference for the library loop. Returns
+    (solution, iterations, final objective).
+    """
+    gamma = 1.0 / lipschitz
+    two_scale = 2.0 * scale
+    x_prev = np.zeros(B.shape[1])
+    x_tilde = x_prev
+    x = x_prev
+    t = 1.0
+    iterations = 0
+    for k in range(1, max_iters + 1):
+        grad = two_scale * (B.T @ (B @ x_tilde - y))
+        x = prox(x_tilde - gamma * grad, gamma)
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("non-finite iterate")
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        x_tilde = x + ((t - 1.0) / t_next) * (x - x_prev)
+        iterations = k
+        step = np.linalg.norm(x - x_prev)
+        x_prev = x
+        t = t_next
+        if rel_tol > 0.0 and step <= rel_tol * (1.0 + np.linalg.norm(x)):
+            break
+    resid = y - B @ x
+    return x, iterations, scale * float(resid @ resid) + penalty(x)
 
 
 def central_difference_gradient(fun, x, h=1e-6):

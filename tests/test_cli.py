@@ -140,6 +140,36 @@ class TestCommands:
         assert code == 1
         assert "unknown detector fields: ['exact_prox']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"fix_matrix": "false"}, "fix_matrix must be a JSON boolean"),
+            ({"fix_matrix": 1}, "fix_matrix must be a JSON boolean"),
+            ({"trials": 2.9}, "trials must be a JSON integer"),
+            ({"n_users": True}, "n_users must be a JSON integer"),
+            ({"master_seed": "3"}, "master_seed must be a JSON integer"),
+            ({"max_iters": 2.5}, "max_iters must be a JSON integer"),
+            ({"detectors": [{"kind": "lasso", "max_iters": 2.5}]},
+             "max_iters must be a JSON integer"),
+        ],
+        ids=["fix_matrix-string", "fix_matrix-int", "trials-float", "n_users-bool",
+             "master_seed-string", "max_iters-float", "detector-max_iters-float"],
+    )
+    def test_config_file_wrong_type_rejected(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"n_users": 8, "n_meas": 6, "trials": 1, **doc}))
+        code = main(["simulate", "--config", str(path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_config_file_numeric_string_lipschitz(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"detectors": [{"kind": "lasso", "lipschitz": "1e6"}]}))
+        code = main(["simulate", "--config", str(path), "--users", "8", "--meas", "6",
+                     "--trials", "2"])
+        assert code == 0
+        assert "snr_db,12,lasso,2," in capsys.readouterr().out
+
     def test_nan_sigma2_returns_error_code(self, capsys):
         code = main([
             "simulate", "--users", "10", "--meas", "7", "--trials", "3",

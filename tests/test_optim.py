@@ -5,9 +5,12 @@ import pytest
 
 from oracles import (
     central_difference_gradient,
+    fista_reference,
+    power_iteration_lipschitz,
     prox_vector_exhaustive,
     soav_objective_ref,
     soav_prox_gradient_oracle,
+    ternary_prox_cascade,
 )
 from soavmud.model import bpsk_prior, gaussian_matrix, synthesize
 from soavmud.optim import (
@@ -203,3 +206,56 @@ class TestFista:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
                 fista(data, prox=lambda z, g: z, config=config)
+
+    def test_finite_iterate_with_overflowing_step_is_accepted(self):
+        # The squared step (1e200)^2 overflows, but the iterate itself is
+        # finite, so it is no divergence.
+        y = np.full(3, 1e200)
+        data = QuadraticData(B=np.eye(3), y=y, scale=0.5)
+        config = SolverConfig(lipschitz=1.0, max_iters=1)
+        with np.errstate(over="ignore"):
+            report = fista(data, prox=lambda z, g: z, config=config)
+        np.testing.assert_array_equal(report.solution, y)
+        assert report.iterations == 1
+
+
+class TestFistaMatchesReferenceLoop:
+    """fista returns the reference loop's bits: solution, iterations, objective."""
+
+    @staticmethod
+    def assert_same_solve(data, prox, penalty, config, ref_prox):
+        # config leaves L unset, so fista's own power iteration is compared too.
+        report = fista(data, prox=prox, config=config, penalty=penalty)
+        x, iterations, objective = fista_reference(
+            data.B, data.y, data.scale, ref_prox, penalty,
+            power_iteration_lipschitz(data.B, data.scale), config.max_iters, config.rel_tol,
+        )
+        np.testing.assert_array_equal(report.solution.view(np.uint64), x.view(np.uint64))
+        assert report.iterations == iterations
+        assert np.float64(report.final_objective).view(np.uint64) == np.float64(
+            objective).view(np.uint64)
+        return report
+
+    @pytest.mark.parametrize("rho", [0.8, 0.05])
+    def test_paper_scale_lasso_and_map_soav(self, rho):
+        inst, data, weights, prox, penalty = make_soav_problem(
+            seed=7, n=100, m=70, rho=rho, snr_db=12.0
+        )
+        self.assert_same_solve(
+            data, prox, penalty, SolverConfig(),
+            lambda z, g: ternary_prox_cascade(z, g, tuple(weights.q)),
+        )
+        lasso_data = QuadraticData(B=inst.mix, y=inst.y, scale=30.0)
+        self.assert_same_solve(
+            lasso_data, soft_threshold, lambda x: float(np.abs(x).sum()),
+            SolverConfig(), soft_threshold,
+        )
+
+    def test_small_system_stops_on_rel_tol(self):
+        _, data, weights, prox, penalty = make_soav_problem(seed=8, n=8, m=6)
+        config = SolverConfig(max_iters=500, rel_tol=1e-8)
+        report = self.assert_same_solve(
+            data, prox, penalty, config,
+            lambda z, g: ternary_prox_cascade(z, g, tuple(weights.q)),
+        )
+        assert report.iterations < config.max_iters

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import prox_1d_exhaustive
+from oracles import prox_1d_exhaustive, ternary_prox_breakpoints, ternary_prox_cascade
 from soavmud.model import SymbolPrior, bpsk_prior, gaussian_matrix, synthesize
 from soavmud.soav import (
     SingularWeightSystemError,
@@ -217,3 +217,39 @@ class TestProxTernary:
         for gamma in (0.0, -0.1):
             with pytest.raises(ValueError, match="gamma"):
                 prox_vector([0.3], gamma, weights)
+
+
+class TestProxMatchesCascade:
+    """The one-pass prox returns the seven-branch cascade's bits exactly."""
+
+    @staticmethod
+    def probe_values(rng, gamma, q):
+        edges = np.array(ternary_prox_breakpoints(gamma, q))
+        return np.concatenate([
+            rng.standard_normal(400) * 2.0,
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [0.0, -0.0, -1.0, 1.0, np.inf, -np.inf, np.nan],
+        ])
+
+    def assert_bitwise_equal(self, gamma, q, rng):
+        v = self.probe_values(rng, gamma, q)
+        out = prox_vector(v, gamma, ternary_weights(q))
+        ref = ternary_prox_cascade(v, gamma, tuple(q))
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    def test_paper_weights(self):
+        rng = np.random.default_rng(31)
+        for rho in (0.05, 0.2, 0.8, 0.95):
+            prior = bpsk_prior(rho)
+            q = solve_weights(prior, default_offset(prior)).q
+            for gamma in (1e-3, 0.01, 0.1, 0.5, 2.0):
+                self.assert_bitwise_equal(gamma, q, rng)
+
+    def test_random_weights_with_negative_middle_weight(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            q = (rng.uniform(0.0, 8.0), -rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0))
+            self.assert_bitwise_equal(float(rng.uniform(0.001, 1.0)), q, rng)
+
