@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .detectors import DetectorConfig
 from .harness import ExperimentConfig, emit_csv, run_sweep
@@ -73,17 +74,23 @@ def parse_detectors(text: str) -> list:
 
 
 def _detector_from_dict(doc: dict) -> DetectorConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"detector entries must be JSON objects, got {doc!r}")
     doc = dict(doc)
     kind = _CANONICAL_KINDS.get(str(doc.pop("kind", "")).lower())
     if kind is None:
         raise ValueError("detector entries need a valid 'kind'")
     lipschitz = doc.pop("lipschitz", None)
     solver = SolverConfig(
-        lipschitz=None if lipschitz is None else float(lipschitz),
+        lipschitz=None if lipschitz is None else _json_typed(lipschitz, float, "lipschitz"),
         max_iters=_json_typed(doc.pop("max_iters", 500), int, "max_iters"),
-        rel_tol=float(doc.pop("rel_tol", 1e-8)),
+        rel_tol=_json_typed(doc.pop("rel_tol", 1e-8), float, "rel_tol"),
     )
-    known = {key: doc.pop(key) for key in ("lam", "alpha", "offset") if key in doc}
+    known = {
+        key: _json_typed(doc.pop(key), float, key)
+        for key in ("lam", "alpha", "offset")
+        if key in doc
+    }
     if doc:
         raise ValueError(f"unknown detector fields: {sorted(doc)}")
     return DetectorConfig(kind=kind, solver=solver, **known)
@@ -97,38 +104,63 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+_JSON_NAMES = {int: "a JSON integer", bool: "a JSON boolean", float: "a JSON number"}
+
+
 def _json_typed(value, kind: type, key: str):
-    """Return a config value that already has JSON type ``kind``, int or bool.
+    """Return a config value of JSON type ``kind``: int, bool or float.
 
-    Nothing is coerced: 2.9 or "2" is no integer, "false" no boolean, and a
-    boolean is no integer although Python's bool subclasses int.
+    int and bool values are not coerced: 2.9 or "2" is no integer, "false" no
+    boolean, and a boolean is no integer although Python's bool subclasses
+    int. A float field takes any JSON number, or a string that reads as one
+    ("0.1"), and returns a float; a list, null or boolean is no number.
     """
-    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+    is_bool = isinstance(value, bool)
+    if kind is float and isinstance(value, (int, float, str)) and not is_bool:
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, kind) and (kind is bool or not is_bool):
         return value
-    expected = "a JSON boolean" if kind is bool else "a JSON integer"
-    raise ValueError(f"{key} must be {expected}, got {value!r}")
+    raise ValueError(f"{key} must be {_JSON_NAMES[kind]}, got {value!r}")
 
 
-def _pick(args_value, file_doc: dict, key: str, default, kind: type = None):
-    """The flag's value, else the file's, else the default; checked against ``kind``."""
+def _json_axis(value, key: str) -> list:
+    """An axis from a config file: one JSON number or a list of them."""
+    values = value if isinstance(value, list) else [value]
+    return [_json_typed(v, float, key) for v in values]
+
+
+def _pick(args_value, file_doc: dict, key: str, default, kind: type):
+    """The flag's value, else the file's, else the default; checked against ``kind``.
+
+    A field whose default is None may be left null.
+    """
     value = args_value if args_value is not None else file_doc.get(key, default)
-    return value if kind is None else _json_typed(value, kind, key)
+    if value is None and default is None:
+        return None
+    return _json_typed(value, kind, key)
 
 
 def _build_detector_list(kinds, args, file_doc) -> tuple:
     if kinds is None:
         file_dets = file_doc.get("detectors")
+        if file_dets is not None and not isinstance(file_dets, list):
+            raise ValueError(
+                f"detectors must be a JSON list of detector objects, got {file_dets!r}"
+            )
         if file_dets:
             return tuple(_detector_from_dict(d) for d in file_dets)
         kinds = ["lmmse", "lasso", "map_soav"]
     solver = SolverConfig(
         max_iters=_pick(args.max_iters, file_doc, "max_iters", 500, int),
-        rel_tol=float(_pick(args.rel_tol, file_doc, "rel_tol", 1e-8)),
+        rel_tol=_pick(args.rel_tol, file_doc, "rel_tol", 1e-8, float),
     )
     common = dict(
-        lam=float(_pick(args.lam, file_doc, "lam", 30.0)),
-        alpha=float(_pick(args.alpha, file_doc, "alpha", 0.5)),
-        offset=float(_pick(args.offset, file_doc, "offset", 10.0)),
+        lam=_pick(args.lam, file_doc, "lam", 30.0, float),
+        alpha=_pick(args.alpha, file_doc, "alpha", 0.5, float),
+        offset=_pick(args.offset, file_doc, "offset", 10.0, float),
         solver=solver,
     )
     return tuple(DetectorConfig(kind=kind, **common) for kind in kinds)
@@ -147,28 +179,25 @@ def _experiment_from_args(args, axis: str) -> ExperimentConfig:
         fix_matrix=_pick(args.fix_matrix or None, file_doc, "fix_matrix", False, bool),
         detectors=detectors,
     )
+    sigma2 = _pick(args.sigma2, file_doc, "sigma_w2_override", None, float)
     if axis == "snr_db":
-        snr = parse_axis(args.snr) if args.snr else file_doc.get("snr_db", [12.0])
-        if not isinstance(snr, list):
-            snr = [float(snr)]
-        rho = float(_pick(args.rho, file_doc, "rho", 0.8))
-        sigma2 = _pick(args.sigma2, file_doc, "sigma_w2_override", None)
+        if args.snr:
+            snr = parse_axis(args.snr)
+        else:
+            snr = _json_axis(file_doc.get("snr_db", 12.0), "snr_db")
         return ExperimentConfig(
-            rho=rho,
+            rho=_pick(args.rho, file_doc, "rho", 0.8, float),
             snr_db=snr[0] if len(snr) == 1 else tuple(snr),
-            sigma_w2_override=None if sigma2 is None else float(sigma2),
+            sigma_w2_override=sigma2,
             **common,
         )
     rho = parse_axis(args.rho) if args.rho else file_doc.get("rho", None)
     if rho is None:
         raise ValueError("a rho sweep needs --rho")
-    if not isinstance(rho, list):
-        rho = [float(rho)]
-    sigma2 = _pick(args.sigma2, file_doc, "sigma_w2_override", None)
     if sigma2 is None:
         raise ValueError("a rho sweep needs --sigma2")
     return ExperimentConfig(
-        rho=tuple(rho), snr_db=None, sigma_w2_override=float(sigma2), **common
+        rho=tuple(_json_axis(rho, "rho")), snr_db=None, sigma_w2_override=sigma2, **common
     )
 
 
@@ -262,7 +291,7 @@ def main(argv=None) -> int:
             config = _experiment_from_args(args, axis="snr_db")
         _run_and_emit(config, args.out)
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

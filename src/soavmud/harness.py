@@ -10,15 +10,17 @@ execution order and of the degree of parallelism.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
 import math
+import multiprocessing
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Optional, Union
 
 import numpy as np
 
-from .detectors import DetectorConfig, run_detector
+from .detectors import _ENUMERATION_BOUND, DetectorConfig, run_detector
 from .model import SnrSpec, bpsk_prior, gaussian_matrix, sigma_from_snr, substream, synthesize
 from .optim import DivergenceError
 from .soav import SingularWeightSystemError, default_offset, solve_weights
@@ -40,6 +42,14 @@ logger = logging.getLogger(__name__)
 _MATRIX_STREAM_KEY = 0
 
 _RECOVERABLE = (DivergenceError, SingularWeightSystemError, np.linalg.LinAlgError)
+
+# (set, get) thread-count functions of the OpenBLAS builds numpy ships, in the
+# order they are tried: numpy 2.x wheels, then older 64-bit and 32-bit builds.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def _default_detectors() -> tuple:
@@ -84,6 +94,12 @@ class ExperimentConfig:
         kinds = [det.kind for det in self.detectors]
         if len(set(kinds)) != len(kinds):
             raise ValueError("detector kinds must be unique within a run")
+        # The prior is always ternary, so exhaustive MAP scans 3**n_users candidates.
+        if "exhaustive_map" in kinds and 3**self.n_users > _ENUMERATION_BOUND:
+            raise ValueError(
+                f"exhaustive_map would scan 3^{self.n_users} candidates, more than"
+                f" the enumeration bound {_ENUMERATION_BOUND}"
+            )
         rho = self.rho
         snr = self.snr_db
         if isinstance(rho, (list, tuple, np.ndarray)):
@@ -245,17 +261,83 @@ def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepRes
     )
 
 
+def _blas_thread_functions():
+    """numpy's BLAS ``(set_num_threads, get_num_threads)`` pair, or None.
+
+    The symbols are looked up through numpy's own ``_multiarray_umath``
+    extension, because ``dlsym`` on it also searches the libraries it links,
+    among them the OpenBLAS numpy was built against. None means no known
+    symbol was found, e.g. numpy built against another BLAS.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's BLAS at one thread inside the block, then restore the count.
+
+    Workers forked inside the block inherit the single thread. With more, an
+    idle OpenBLAS helper thread in each worker spins on the CPU the other
+    workers need; limiting each worker after the fork instead starts such a
+    thread in every one of them.
+    """
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    set_threads, get_threads = functions
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def run_sweep(config: ExperimentConfig) -> list:
-    """Run all axis points; returns one SweepResult per point, in axis order."""
+    """Run all axis points; returns one SweepResult per point, in axis order.
+
+    With ``parallelism > 1`` the trials run in forked worker processes, each
+    with a single BLAS thread. A worker that dies (killed, or out of memory)
+    raises ``BrokenProcessPool`` naming the sweep's master seed.
+    """
     tasks = [
         (config, axis_value, index)
         for axis_value in config.axis_points
         for index in range(config.trials)
     ]
     if config.parallelism > 1:
+        # Imported here, because importing it costs every serial run ~7 ms of start-up.
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (4 * config.parallelism))
-        with Pool(processes=config.parallelism) as pool:
-            records = pool.map(_trial_task, tasks, chunksize=chunk)
+        # fork, not spawn: a spawned worker re-imports numpy, which costs more
+        # than the trials of a short sweep, and would not inherit the limit.
+        fork = multiprocessing.get_context("fork")
+        try:
+            with _one_blas_thread(), ProcessPoolExecutor(config.parallelism, fork) as pool:
+                records = list(pool.map(_trial_task, tasks, chunksize=chunk))
+        except BrokenProcessPool as exc:
+            raise BrokenProcessPool(
+                f"a worker process died during the sweep with master_seed"
+                f"={config.master_seed}; no results were kept"
+            ) from exc
     else:
         records = [_trial_task(task) for task in tasks]
     results = []

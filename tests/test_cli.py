@@ -1,9 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import soavmud
+from soavmud import cli
 from soavmud.cli import main, parse_axis, parse_detectors
 
 
@@ -151,9 +158,14 @@ class TestCommands:
             ({"max_iters": 2.5}, "max_iters must be a JSON integer"),
             ({"detectors": [{"kind": "lasso", "max_iters": 2.5}]},
              "max_iters must be a JSON integer"),
+            ({"lam": [30]}, "lam must be a JSON number, got [30]"),
+            ({"detectors": [{"kind": "lasso", "rel_tol": None}]},
+             "rel_tol must be a JSON number, got None"),
+            ({"detectors": {"kind": "lasso"}}, "detectors must be a JSON list"),
         ],
         ids=["fix_matrix-string", "fix_matrix-int", "trials-float", "n_users-bool",
-             "master_seed-string", "max_iters-float", "detector-max_iters-float"],
+             "master_seed-string", "max_iters-float", "detector-max_iters-float",
+             "lam-list", "detector-rel_tol-null", "detectors-object"],
     )
     def test_config_file_wrong_type_rejected(self, tmp_path, capsys, doc, message):
         path = tmp_path / "exp.json"
@@ -169,6 +181,42 @@ class TestCommands:
                      "--trials", "2"])
         assert code == 0
         assert "snr_db,12,lasso,2," in capsys.readouterr().out
+
+    def test_oversized_exhaustive_map_rejected_before_the_sweep(self, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("run_sweep must not start")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        code = main(["oracle-compare", "--users", "16", "--meas", "12", "--trials", "2",
+                     "--parallelism", "2"])
+        assert code == 1
+        assert "enumeration bound" in capsys.readouterr().err
+
+    def test_killed_worker_fails_the_sweep_instead_of_hanging(self):
+        script = textwrap.dedent("""
+            import os, signal, sys
+            from soavmud import cli, harness
+
+            real_run_trial = harness.run_trial
+
+            def dying(config, axis_value, trial_index):
+                if trial_index == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real_run_trial(config, axis_value, trial_index)
+
+            harness.run_trial = dying
+            sys.exit(cli.main(["simulate", "--users", "8", "--meas", "6", "--trials", "8",
+                               "--seed", "13", "--parallelism", "2"]))
+        """)
+        src = str(Path(soavmud.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr
+        assert "master_seed=13" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_nan_sigma2_returns_error_code(self, capsys):
         code = main([

@@ -2,6 +2,7 @@
 
 import io
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -90,6 +91,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(detectors=(DetectorConfig(kind="lmmse"),
                                         DetectorConfig(kind="lmmse")))
+
+    def test_oversized_exhaustive_map_rejected(self):
+        oracle = (DetectorConfig(kind="exhaustive_map"),)
+        with pytest.raises(ValueError, match="3\\^16 candidates"):
+            small_config(n_users=16, n_meas=12, detectors=oracle)
+        assert small_config(n_users=15, n_meas=12, detectors=oracle).n_users == 15
 
     @pytest.mark.parametrize(
         "build",
@@ -202,6 +209,48 @@ class TestRunSweep:
         for a, b in zip(serial, parallel):
             assert a.means == b.means
             assert a.std_errs == b.std_errs
+
+    def test_parallelism_keeps_csv_bytes_at_paper_scale(self):
+        # At N = 100, M = 70 LMMSE's 70x100x70 product is large enough for
+        # OpenBLAS to split across threads in the serial run, while each
+        # pooled worker computes it on one thread.
+        def csv_text(parallelism):
+            cfg = ExperimentConfig(
+                n_users=100, n_meas=70, trials=3, rho=0.8, snr_db=(12.0, 16.0),
+                master_seed=21, parallelism=parallelism,
+            )
+            buf = io.StringIO()
+            emit_csv(run_sweep(cfg), buf)
+            return buf.getvalue()
+
+        assert csv_text(1) == csv_text(2)
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch, tmp_path):
+        functions = harness._blas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exposes no known thread-count symbol")
+        set_threads, get_threads = functions
+        real_run_trial = harness.run_trial
+
+        def reporting(config, axis_value, trial_index):
+            report = tmp_path / f"{os.getpid()}-{axis_value}-{trial_index}"
+            report.write_text(str(get_threads()))
+            return real_run_trial(config, axis_value, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", reporting)
+        original = get_threads()
+        set_threads(2)
+        try:
+            before = get_threads()
+            run_sweep(small_config(parallelism=2))
+            after = get_threads()
+        finally:
+            set_threads(original)
+        assert after == before
+        reports = list(tmp_path.iterdir())
+        assert len(reports) == 16
+        assert not any(r.name.startswith(f"{os.getpid()}-") for r in reports)
+        assert {r.read_text() for r in reports} == {"1"}
 
     def test_rho_sweep_fixed_variance_protocol(self):
         cfg = ExperimentConfig(
