@@ -33,6 +33,7 @@ from .frontend import (
 from .harness import (
     ExperimentConfig,
     SweepResult,
+    TrialError,
     TrialRecord,
     emit_csv,
     error_ratio,
@@ -59,6 +60,7 @@ from .optim import (
     estimate_lipschitz,
     fista,
     gradient,
+    power_iteration,
     soft_threshold,
 )
 from .soav import (

@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import BrokenExecutor
 
 from .detectors import DetectorConfig
-from .harness import ExperimentConfig, emit_csv, run_sweep
+from .harness import ExperimentConfig, TrialError, emit_csv, run_sweep
 from .model import bpsk_prior
 from .optim import SolverConfig
 from .soav import default_offset, solve_weights
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
             config = _experiment_from_args(args, axis="snr_db")
         _run_and_emit(config, args.out)
         return 0
-    except (ValueError, OSError, BrokenExecutor) as exc:
+    except (ValueError, OSError, BrokenExecutor, TrialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -112,19 +112,27 @@ def lmmse(
     return DetectionResult(raw=raw, decided=threshold_map(raw, alpha))
 
 
-def lasso(instance: SystemInstance, config: DetectorConfig) -> DetectionResult:
-    """Solve min_x lam * ||y - S A x||^2 + ||x||_1 and quantize."""
-    data = QuadraticData(B=instance.mix, y=instance.y, scale=config.lam)
-    report = fista(
-        data,
-        prox=soft_threshold,
-        config=config.solver,
-        penalty=lambda x: float(np.abs(x).sum()),
-    )
+def _solve(instance, data, prox, penalty, config: DetectorConfig) -> DetectionResult:
+    """Run fista on ``data`` and quantize its solution.
+
+    Unless the config fixes L, the step comes from the instance's cached
+    spectral bound, so lasso and map_soav on one instance share one power
+    iteration.
+    """
+    norm_sq = instance.mix_norm_sq if config.solver.lipschitz is None else None
+    report = fista(data, prox=prox, config=config.solver, penalty=penalty, norm_sq=norm_sq)
     return DetectionResult(
         raw=report.solution,
         decided=threshold_map(report.solution, config.alpha),
         diagnostics=report,
+    )
+
+
+def lasso(instance: SystemInstance, config: DetectorConfig) -> DetectionResult:
+    """Solve min_x lam * ||y - S A x||^2 + ||x||_1 and quantize."""
+    data = QuadraticData(B=instance.mix, y=instance.y, scale=config.lam)
+    return _solve(
+        instance, data, soft_threshold, lambda x: float(np.abs(x).sum()), config
     )
 
 
@@ -150,17 +158,7 @@ def map_soav(
     def prox(z, gamma):
         return prox_vector(z, gamma, weights)
 
-    report = fista(
-        data,
-        prox=prox,
-        config=config.solver,
-        penalty=lambda x: soav_penalty(x, weights),
-    )
-    return DetectionResult(
-        raw=report.solution,
-        decided=threshold_map(report.solution, config.alpha),
-        diagnostics=report,
-    )
+    return _solve(instance, data, prox, lambda x: soav_penalty(x, weights), config)
 
 
 def map_lattice_objective(x, instance: SystemInstance, prior: SymbolPrior) -> float:

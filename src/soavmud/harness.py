@@ -27,6 +27,7 @@ from .soav import SingularWeightSystemError, default_offset, solve_weights
 
 __all__ = [
     "ExperimentConfig",
+    "TrialError",
     "TrialRecord",
     "SweepResult",
     "error_ratio",
@@ -42,6 +43,9 @@ logger = logging.getLogger(__name__)
 _MATRIX_STREAM_KEY = 0
 
 _RECOVERABLE = (DivergenceError, SingularWeightSystemError, np.linalg.LinAlgError)
+
+# Detectors that run the iterative solver and so report iterations and cap hits.
+_SOLVER_KINDS = ("lasso", "map_soav")
 
 # (set, get) thread-count functions of the OpenBLAS builds numpy ships, in the
 # order they are tried: numpy 2.x wheels, then older 64-bit and 32-bit builds.
@@ -158,6 +162,30 @@ class ExperimentConfig:
         )
 
 
+class TrialError(RuntimeError):
+    """A trial raised an exception that is no recoverable detector failure.
+
+    It names the keys that replay the trial: ``run_trial(config, axis_value,
+    trial_index)`` with a config of the same ``master_seed``.
+    """
+
+    def __init__(self, master_seed: int, axis: str, axis_value: float,
+                 trial_index: int, reason: str):
+        # All five go to args, so the error pickles back out of a worker.
+        super().__init__(master_seed, axis, axis_value, trial_index, reason)
+        self.master_seed = master_seed
+        self.axis = axis
+        self.axis_value = axis_value
+        self.trial_index = trial_index
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return (
+            f"trial {self.trial_index} at {self.axis}={self.axis_value!r} with"
+            f" master_seed={self.master_seed} failed: {self.reason}"
+        )
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """Per-trial outcome: symbol error counts and solver effort per detector."""
@@ -167,6 +195,7 @@ class TrialRecord:
     error_counts: dict      # detector kind -> int, or None when the detector failed
     iterations: dict        # detector kind -> solver iterations (0 for closed forms)
     failure_reasons: dict   # detector kind -> message, only for failed detectors
+    converged: dict         # detector kind -> SolveReport.converged, solver runs only
 
 
 @dataclass(frozen=True)
@@ -178,6 +207,8 @@ class SweepResult:
     std_errs: dict         # detector kind -> standard error of that mean
     failures: dict         # detector kind -> number of failed trials
     config: ExperimentConfig
+    mean_iterations: dict  # solver kind -> mean iterations of its successful solves
+    cap_hits: dict         # solver kind -> solves that stopped at max_iters unconverged
 
 
 def error_ratio(decided, truth) -> float:
@@ -190,7 +221,21 @@ def error_ratio(decided, truth) -> float:
 
 
 def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> TrialRecord:
-    """Run every configured detector on one shared realization."""
+    """Run every configured detector on one shared realization.
+
+    A detector failure listed in ``_RECOVERABLE`` is logged and recorded;
+    any other exception is raised as a ``TrialError`` naming this trial.
+    """
+    try:
+        return _run_trial(config, axis_value, trial_index)
+    except Exception as exc:
+        raise TrialError(
+            config.master_seed, config.axis, float(axis_value), trial_index,
+            f"{type(exc).__name__}: {exc}",
+        ) from exc
+
+
+def _run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> TrialRecord:
     rho = config.rho_at(axis_value)
     sigma_w2 = config.sigma_at(axis_value)
     prior = bpsk_prior(rho)
@@ -202,7 +247,7 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
     else:
         S = gaussian_matrix(config.n_meas, config.n_users, rng)
     instance = synthesize(prior, S, np.ones(config.n_users), sigma_w2, rng)
-    counts, iters, reasons = {}, {}, {}
+    counts, iters, reasons, converged = {}, {}, {}, {}
     for det in config.detectors:
         try:
             result = run_detector(instance, prior, det)
@@ -216,13 +261,19 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
             )
             continue
         counts[det.kind] = int(np.count_nonzero(result.decided != instance.b))
-        iters[det.kind] = 0 if result.diagnostics is None else result.diagnostics.iterations
+        report = result.diagnostics
+        if report is None:
+            iters[det.kind] = 0
+        else:
+            iters[det.kind] = report.iterations
+            converged[det.kind] = report.converged
     return TrialRecord(
         trial_index=trial_index,
         axis_value=float(axis_value),
         error_counts=counts,
         iterations=iters,
         failure_reasons=reasons,
+        converged=converged,
     )
 
 
@@ -232,8 +283,18 @@ def _trial_task(args) -> TrialRecord:
 
 
 def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepResult:
-    means, std_errs, failures = {}, {}, {}
+    means, std_errs, failures, mean_iterations, cap_hits = {}, {}, {}, {}, {}
     for det in config.detectors:
+        if det.kind in _SOLVER_KINDS:
+            solves = [
+                (rec.iterations[det.kind], rec.converged[det.kind])
+                for rec in records
+                if det.kind in rec.converged
+            ]
+            mean_iterations[det.kind] = (
+                sum(n for n, _ in solves) / len(solves) if solves else float("nan")
+            )
+            cap_hits[det.kind] = sum(1 for _, done in solves if not done)
         ratios = np.array(
             [
                 rec.error_counts[det.kind] / config.n_users
@@ -258,6 +319,8 @@ def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepRes
         std_errs=std_errs,
         failures=failures,
         config=config,
+        mean_iterations=mean_iterations,
+        cap_hits=cap_hits,
     )
 
 
@@ -315,7 +378,8 @@ def run_sweep(config: ExperimentConfig) -> list:
 
     With ``parallelism > 1`` the trials run in forked worker processes, each
     with a single BLAS thread. A worker that dies (killed, or out of memory)
-    raises ``BrokenProcessPool`` naming the sweep's master seed.
+    raises ``BrokenProcessPool`` naming the sweep's master seed. A trial that
+    raises, serially or in a worker, raises ``TrialError`` naming the trial.
     """
     tasks = [
         (config, axis_value, index)
@@ -374,7 +438,7 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
             parts.append(f"lam={_fmt(det.lam)}")
         if det.kind == "map_soav":
             parts.append(f"offset={_fmt(det.offset)}")
-        if det.kind in ("lasso", "map_soav"):
+        if det.kind in _SOLVER_KINDS:
             parts.append(
                 f"max_iters={det.solver.max_iters} rel_tol={_fmt(det.solver.rel_tol)}"
             )
@@ -390,14 +454,20 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
                 f"# weights rho={_fmt(rho)}: C={_fmt(weights.c)} q=[{q_text}]"
                 f" convex={weights.convex}"
             )
-    failure_lines = []
     for res in results:
         for kind, count in res.failures.items():
             if count:
-                failure_lines.append(
-                    f"# failures {config.axis}={_fmt(res.axis_value)} {kind}: {count}"
-                )
-    return lines + failure_lines
+                lines.append(f"# failures {config.axis}={_fmt(res.axis_value)} {kind}: {count}")
+    # Iteration counts and cap hits depend only on the trials, never on the
+    # worker count, so these lines keep the output byte-identical too.
+    for res in results:
+        for kind, mean in res.mean_iterations.items():
+            solves = config.trials - res.failures[kind]
+            lines.append(
+                f"# solver {config.axis}={_fmt(res.axis_value)} {kind}:"
+                f" mean_iterations={_fmt(mean)} cap_hits={res.cap_hits[kind]}/{solves}"
+            )
+    return lines
 
 
 def emit_csv(results, destination) -> None:
@@ -405,7 +475,9 @@ def emit_csv(results, destination) -> None:
 
     Columns: axis,axis_value,detector,trials,error_ratio,std_err,master_seed.
     The trials column counts the trials actually averaged (failed trials are
-    excluded and reported in the metadata).
+    excluded and reported in the metadata). For lasso and map_soav the
+    metadata also gives, per axis point, the mean solver iterations and how
+    many solves hit the iteration cap without converging.
     """
     if not results:
         raise ValueError("no results to emit")

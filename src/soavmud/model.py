@@ -9,8 +9,11 @@ Gaussian noise of variance ``sigma_w2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .optim import power_iteration
 
 __all__ = [
     "SymbolPrior",
@@ -140,6 +143,15 @@ class SystemInstance:
     def mix(self) -> np.ndarray:
         """Effective mixing matrix S A, shape (M, N)."""
         return self.S * self.gains
+
+    @cached_property
+    def mix_norm_sq(self) -> float:
+        """Power-iteration estimate of sigma_max(S A)^2, formed once.
+
+        Every solver run on this instance bounds its step with it, so the
+        power iteration runs once per instance however many detectors use it.
+        """
+        return power_iteration(self.mix)
 
 
 def draw_symbols(prior: SymbolPrior, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,6 +21,7 @@ __all__ = [
     "DegenerateOperatorError",
     "DivergenceError",
     "gradient",
+    "power_iteration",
     "estimate_lipschitz",
     "fista",
     "soft_threshold",
@@ -87,12 +88,17 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Solver output: solution, iterations used, and objective bookkeeping."""
+    """Solver output: solution, iterations used, and objective bookkeeping.
+
+    ``converged`` is True only when the stopping test fired; a solve that
+    ran its whole iteration budget reports False.
+    """
 
     solution: np.ndarray
     iterations: int
     final_objective: float
     objective_trace: Optional[list] = None
+    converged: bool = False
 
 
 def gradient(data: QuadraticData, x) -> np.ndarray:
@@ -103,26 +109,36 @@ def gradient(data: QuadraticData, x) -> np.ndarray:
     return 2.0 * data.scale * (data.B.T @ (data.B @ x - data.y))
 
 
-def estimate_lipschitz(
-    data: QuadraticData, rel_tol: float = 1e-6, max_iters: int = 1000
-) -> float:
-    """Upper bound on the gradient Lipschitz constant 2 * scale * sigma_max(B)^2.
+def _matvecs(B: np.ndarray):
+    """The products ``x -> B x`` and ``r -> B^T r`` as two callables.
 
-    Power iteration on B^T B with a deterministic start vector; the result
-    carries a 1.01 safety factor so a slight underestimate of the spectral
-    norm cannot break the step-size condition.
+    ``ndarray.dot`` skips the dispatch of ``@`` and returns its bits when B
+    is C- or F-contiguous. On any other view, e.g. ``base[:, ::2]``, the two
+    can differ in the last bits, so such a B keeps ``@``.
     """
-    B = data.B
+    Bt = B.T
+    if B.flags.c_contiguous or B.flags.f_contiguous:
+        return B.dot, Bt.dot
+    return B.__matmul__, Bt.__matmul__
+
+
+def power_iteration(B, rel_tol: float = 1e-6, max_iters: int = 1000) -> float:
+    """Power-iteration estimate of sigma_max(B)^2, the top eigenvalue of B^T B.
+
+    Starts from a fixed pseudo-random vector, so equal matrices give equal
+    bits; it depends on B alone, so solvers that share B can share it.
+    """
     if not np.any(B):
         raise DegenerateOperatorError("cannot bound the spectrum of a zero operator")
+    matvec, rmatvec = _matvecs(B)
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(B.shape[1])
     v /= np.linalg.norm(v)
     top = 0.0
     for _ in range(max_iters):
-        Bv = B @ v
-        estimate = float(Bv @ Bv)
-        w = B.T @ Bv
+        Bv = matvec(v)
+        estimate = float(Bv.dot(Bv))
+        w = rmatvec(Bv)
         norm_w = math.sqrt(w.dot(w))
         if norm_w == 0.0:
             # Start vector landed in the null space; try a fresh direction.
@@ -134,7 +150,24 @@ def estimate_lipschitz(
             top = estimate
             break
         top = estimate
-    return _LIPSCHITZ_SAFETY * 2.0 * data.scale * top
+    return top
+
+
+def _lipschitz_bound(scale: float, norm_sq: float) -> float:
+    """1.01 * 2 * scale * sigma_max(B)^2, multiplied in this order."""
+    return _LIPSCHITZ_SAFETY * 2.0 * scale * norm_sq
+
+
+def estimate_lipschitz(
+    data: QuadraticData, rel_tol: float = 1e-6, max_iters: int = 1000
+) -> float:
+    """Upper bound on the gradient Lipschitz constant 2 * scale * sigma_max(B)^2.
+
+    Power iteration on B^T B with a deterministic start vector; the result
+    carries a 1.01 safety factor so a slight underestimate of the spectral
+    norm cannot break the step-size condition.
+    """
+    return _lipschitz_bound(data.scale, power_iteration(data.B, rel_tol, max_iters))
 
 
 def soft_threshold(v, gamma: float):
@@ -149,6 +182,7 @@ def fista(
     prox: Callable[[np.ndarray, float], np.ndarray],
     config: SolverConfig,
     penalty: Optional[Callable[[np.ndarray], float]] = None,
+    norm_sq: Optional[float] = None,
 ) -> SolveReport:
     """Accelerated proximal-gradient minimization of f(x) + g(x).
 
@@ -159,6 +193,9 @@ def fista(
         config: iteration budget, stopping tolerance, optional L.
         penalty: g itself, used only to report objective values; omitted
             means g is treated as zero in the reports.
+        norm_sq: ``power_iteration(data.B)``, when the caller already has
+            it; L is then formed from it exactly as ``estimate_lipschitz``
+            would. Ignored when ``config.lipschitz`` is set.
 
     Starts from x = 0 with unit momentum weight; each step takes a gradient
     step at the extrapolation point, applies the prox, then extrapolates for
@@ -166,21 +203,34 @@ def fista(
     or the iteration budget runs out; rel_tol = 0 disables the early stop so
     the full budget (and trajectory) is always produced.
     """
-    L = config.lipschitz if config.lipschitz is not None else estimate_lipschitz(data)
+    if config.lipschitz is not None:
+        L = config.lipschitz
+    else:
+        if norm_sq is None:
+            norm_sq = power_iteration(data.B)
+        L = _lipschitz_bound(data.scale, norm_sq)
     gamma = 1.0 / L
     two_scale = 2.0 * data.scale
+    rel_tol = config.rel_tol
     g = penalty if penalty is not None else (lambda _x: 0.0)
     B, y = data.B, data.y
-    Bt = B.T
+    matvec, rmatvec = _matvecs(B)
     x_prev = np.zeros(B.shape[1])
     x_tilde = x_prev
     x = x_prev
     t = 1.0
     trace = [] if config.record_trajectory else None
     iterations = 0
+    converged = False
     for k in range(1, config.max_iters + 1):
-        grad = two_scale * (Bt @ (B @ x_tilde - y))
-        x = prox(x_tilde - gamma * grad, gamma)
+        # In place, the gradient step gamma * 2 scale B^T (B x_tilde - y)
+        # keeps the bits of the expression without its temporaries.
+        r = matvec(x_tilde)
+        r -= y
+        step = rmatvec(r)
+        step *= two_scale
+        step *= gamma
+        x = prox(x_tilde - step, gamma)
         d = x - x_prev
         # dot() is what np.linalg.norm computes for a vector; the squared step
         # of a non-finite iterate is never finite, but a finite one can overflow.
@@ -190,19 +240,21 @@ def fista(
                 "solver produced a non-finite iterate; the Lipschitz bound is too small"
             )
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        x_tilde = x + ((t - 1.0) / t_next) * d
+        # x + beta * d, with one temporary fewer.
+        x_tilde = d * ((t - 1.0) / t_next)
+        x_tilde += x
         iterations = k
         if trace is not None:
             trace.append(data.value(x) + g(x))
         x_prev = x
         t = t_next
-        if config.rel_tol > 0.0 and math.sqrt(sq) <= config.rel_tol * (
-            1.0 + math.sqrt(x.dot(x))
-        ):
+        if rel_tol > 0.0 and math.sqrt(sq) <= rel_tol * (1.0 + math.sqrt(x.dot(x))):
+            converged = True
             break
     return SolveReport(
         solution=x,
         iterations=iterations,
         final_objective=data.value(x) + g(x),
         objective_trace=trace,
+        converged=converged,
     )

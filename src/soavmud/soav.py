@@ -10,6 +10,7 @@ is convex whenever all q_l come out nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -53,6 +54,8 @@ class SoavWeights:
     c: float
     alphabet: np.ndarray
     ternary: bool = field(init=False)
+    # (gamma, edges, const) of the last call to prox_tables.
+    _prox_tables: Optional[tuple] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
@@ -68,6 +71,18 @@ class SoavWeights:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "ternary", np.array_equal(alphabet, _TERNARY))
+
+    def prox_tables(self, gamma: float):
+        """(edges, const) of the ternary prox of gamma * g, see _ternary_tables.
+
+        The tables of the last gamma asked for are kept, so repeated calls
+        with one step size build them once.
+        """
+        cached = self._prox_tables
+        if cached is None or cached[0] != gamma:
+            cached = (gamma,) + _ternary_tables(gamma, self.q)
+            object.__setattr__(self, "_prox_tables", cached)
+        return cached[1], cached[2]
 
     @property
     def convex(self) -> bool:
@@ -132,23 +147,14 @@ def soav_objective(x, instance: SystemInstance, weights: SoavWeights) -> float:
     return data + soav_penalty(x, weights)
 
 
-def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
-    """Closed-form ternary prox of gamma * g, applied elementwise.
+def _ternary_tables(gamma: float, q: np.ndarray):
+    """(edges, const) of the ternary prox of gamma * g, see prox_vector.
 
-    Seven branches separated by six breakpoints, alternately a shift v - s
-    (slope 1) and a constant (slope 0). Branch i serves v below breakpoint i
-    and the first matching branch wins, so the map stays well defined even
-    when negative weights make some intervals empty. One sorted search over
-    the running maximum of the breakpoints finds that first branch: a
-    breakpoint below an earlier one can never be the first above v. NaN
-    sorts past every breakpoint and lands on the last branch.
+    ``edges`` is the running maximum of the six breakpoints: a breakpoint
+    below an earlier one can never be the first above v. ``const`` is -s on
+    the shift branches and the constant on the others.
     """
-    if not weights.ternary:
-        raise UnsupportedAlphabetError("closed-form prox requires alphabet (-1, 0, 1)")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    v = np.asarray(values, dtype=float)
-    q0, q1, q2 = weights.q.tolist()
+    q0, q1, q2 = q.tolist()
     lo = gamma * (-q0 - q1 - q2)
     inner_lo = gamma * (q0 - q1 - q2)
     inner_hi = gamma * (q0 + q1 - q2)
@@ -156,8 +162,32 @@ def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
     edges = np.maximum.accumulate(
         [-1.0 + lo, -1.0 + inner_lo, inner_lo, inner_hi, 1.0 + inner_hi, 1.0 + hi]
     )
+    const = np.array([-lo, -1.0, -inner_lo, 0.0, -inner_hi, 1.0, -hi])
+    edges.setflags(write=False)
+    const.setflags(write=False)
+    return edges, const
+
+
+def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
+    """Closed-form ternary prox of gamma * g, applied elementwise.
+
+    Seven branches separated by six breakpoints, alternately a shift v - s
+    (slope 1) and a constant (slope 0). Branch i serves v below breakpoint i
+    and the first matching branch wins, so the map stays well defined even
+    when negative weights make some intervals empty. One sorted search over
+    the running maximum of the breakpoints finds that first branch. NaN
+    sorts past every breakpoint and lands on the last branch.
+
+    The tables come from ``weights.prox_tables``, so a solver that calls
+    this with one fixed step builds them once.
+    """
+    if not weights.ternary:
+        raise UnsupportedAlphabetError("closed-form prox requires alphabet (-1, 0, 1)")
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    v = np.asarray(values, dtype=float)
+    edges, const = weights.prox_tables(gamma)
+    idx = edges.searchsorted(v, side="right")
     # v * 1 + (-s) is v - s exactly, and v * 0 + c is c for finite v; an
     # infinite v only reaches the two outer branches, which have slope 1.
-    const = np.array([-lo, -1.0, -inner_lo, 0.0, -inner_hi, 1.0, -hi])
-    idx = np.searchsorted(edges, v, side="right")
     return v * _SLOPE[idx] + const[idx]

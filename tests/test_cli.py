@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import soavmud
-from soavmud import cli
+from soavmud import cli, harness
 from soavmud.cli import main, parse_axis, parse_detectors
 
 
@@ -217,6 +217,25 @@ class TestCommands:
         assert "error:" in proc.stderr
         assert "master_seed=13" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_failing_trial_is_named(self, monkeypatch, capsys):
+        calls = []
+        real = harness.run_detector
+
+        def failing(instance, prior, config):
+            calls.append(config.kind)
+            if len(calls) == 3:  # lmmse only, serial: the third call is trial 2
+                raise RuntimeError("injected fault")
+            return real(instance, prior, config)
+
+        monkeypatch.setattr(harness, "run_detector", failing)
+        code = main(["simulate", "--users", "8", "--meas", "6", "--trials", "4",
+                     "--snr", "12", "--seed", "13", "--detectors", "lmmse"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: trial 2 at snr_db=12.0 with master_seed=13 failed:"
+            " RuntimeError: injected fault\n"
+        )
 
     def test_nan_sigma2_returns_error_code(self, capsys):
         code = main([

@@ -7,17 +7,19 @@ import os
 import numpy as np
 import pytest
 
-from soavmud import harness
+from oracles import power_iteration_lipschitz
+from soavmud import harness, model, optim
 from soavmud.detectors import DetectorConfig, run_detector
 from soavmud.harness import (
     ExperimentConfig,
+    TrialError,
     emit_csv,
     error_ratio,
     run_sweep,
     run_trial,
 )
 from soavmud.model import bpsk_prior, substream, synthesize
-from soavmud.optim import SolverConfig
+from soavmud.optim import QuadraticData, SolverConfig, estimate_lipschitz
 from soavmud.soav import default_offset, solve_weights
 
 
@@ -159,6 +161,40 @@ class TestRunTrial:
         # Still deterministic in fixed mode.
         assert run_trial(fixed, 10.0, 1) == run_trial(fixed, 10.0, 1)
 
+    def test_one_power_iteration_per_trial_with_oracle_bits(self, monkeypatch):
+        made = capture_instances(monkeypatch)
+        power_calls = []
+        real_power = optim.power_iteration
+
+        def counting_power(B, *args, **kwargs):
+            power_calls.append(B)
+            return real_power(B, *args, **kwargs)
+
+        monkeypatch.setattr(model, "power_iteration", counting_power)
+        monkeypatch.setattr(optim, "power_iteration", counting_power)
+        bounds = []  # (scale, L) for every L that fista forms
+        real_bound = optim._lipschitz_bound
+
+        def recording_bound(scale, norm_sq):
+            bounds.append((scale, real_bound(scale, norm_sq)))
+            return bounds[-1][1]
+
+        monkeypatch.setattr(optim, "_lipschitz_bound", recording_bound)
+        cfg = ExperimentConfig(
+            n_users=100, n_meas=70, trials=1, rho=0.8, snr_db=12.0, master_seed=9,
+            detectors=(DetectorConfig(kind="lasso"), DetectorConfig(kind="map_soav")),
+        )
+        run_trial(cfg, 12.0, 0)
+        (inst,) = made
+        assert len(power_calls) == 1
+        scales = [30.0, 1.0 / (2.0 * inst.sigma_w2)]
+        assert [scale for scale, _ in bounds] == scales
+        for scale, L in list(bounds):  # estimate_lipschitz below records too
+            expected = estimate_lipschitz(QuadraticData(inst.mix, inst.y, scale))
+            oracle = power_iteration_lipschitz(inst.mix, scale)
+            assert np.float64(L).view(np.uint64) == np.float64(expected).view(np.uint64)
+            assert np.float64(L).view(np.uint64) == np.float64(oracle).view(np.uint64)
+
     def test_error_counts_bounded_by_users(self):
         cfg = small_config()
         rec = run_trial(cfg, 10.0, 0)
@@ -292,6 +328,101 @@ class TestRunSweep:
         text = buf.getvalue()
         assert "# failures snr_db=10 map_soav: 3" in text
         assert "snr_db,10,map_soav,0,nan,nan,5" in text
+
+
+class TestTrialError:
+    """A non-recoverable exception names the trial that raised it."""
+
+    @staticmethod
+    def fail_at(monkeypatch, cfg, axis_value, trial_index):
+        """Make run_detector raise on the realization of one trial only."""
+        made = capture_instances(monkeypatch)
+        run_trial(cfg, axis_value, trial_index)
+        target = made[0].y
+        real = harness.run_detector
+
+        def failing(instance, prior, config):
+            if np.array_equal(instance.y, target):
+                raise RuntimeError("injected fault")
+            return real(instance, prior, config)
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(harness, "run_detector", failing)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_sweep_names_the_failing_trial(self, monkeypatch, parallelism):
+        cfg = small_config(parallelism=parallelism)
+        self.fail_at(monkeypatch, cfg, 14.0, 5)
+        with pytest.raises(TrialError) as info:
+            run_sweep(cfg)
+        err = info.value
+        assert (err.master_seed, err.axis, err.axis_value, err.trial_index) == (
+            5, "snr_db", 14.0, 5)
+        assert "RuntimeError: injected fault" in str(err)
+        assert "trial 5 at snr_db=14.0 with master_seed=5" in str(err)
+
+    def test_run_trial_replays_it(self, monkeypatch):
+        cfg = small_config()
+        self.fail_at(monkeypatch, cfg, 14.0, 5)
+        run_trial(cfg, 14.0, 4)
+        with pytest.raises(TrialError, match="trial 5 at snr_db=14.0"):
+            run_trial(cfg, 14.0, 5)
+
+    def test_recoverable_failures_are_not_trial_errors(self):
+        doomed = DetectorConfig(
+            kind="lasso", solver=SolverConfig(lipschitz=1e-9, max_iters=50, rel_tol=0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = run_trial(small_config(detectors=(doomed,)), 10.0, 0)
+        assert record.error_counts == {"lasso": None}
+        assert record.converged == {}
+
+
+class TestSolverMetadata:
+    """Mean iterations and cap hits per solver detector and axis point."""
+
+    @staticmethod
+    def solver_lines(cfg):
+        buf = io.StringIO()
+        emit_csv(run_sweep(cfg), buf)
+        return [l for l in buf.getvalue().splitlines() if l.startswith("# solver")]
+
+    def test_lines_recount_the_trial_records(self):
+        cfg = small_config(n_users=8, n_meas=6)
+        expected = []
+        for value in cfg.axis_points:
+            records = [run_trial(cfg, value, i) for i in range(cfg.trials)]
+            for kind in ("lasso", "map_soav"):
+                iters = [rec.iterations[kind] for rec in records]
+                capped = sum(not rec.converged[kind] for rec in records)
+                expected.append(
+                    f"# solver snr_db={value:g} {kind}: mean_iterations="
+                    f"{np.mean(iters):.6g} cap_hits={capped}/{cfg.trials}"
+                )
+        lines = self.solver_lines(cfg)
+        assert lines == expected
+        # The small system converges on some trials and not on others here.
+        caps = [int(l.split("cap_hits=")[1].split("/")[0]) for l in lines]
+        assert 0 < sum(caps) < len(caps) * cfg.trials
+
+    def test_no_early_stop_hits_the_cap_every_time(self):
+        solver = SolverConfig(max_iters=40, rel_tol=0.0)
+        cfg = small_config(trials=3, snr_db=10.0, detectors=(
+            DetectorConfig(kind="lmmse"), DetectorConfig(kind="lasso", solver=solver)))
+        assert self.solver_lines(cfg) == [
+            "# solver snr_db=10 lasso: mean_iterations=40 cap_hits=3/3"]
+
+    def test_failed_solves_are_left_out(self):
+        doomed = DetectorConfig(
+            kind="map_soav", solver=SolverConfig(lipschitz=1e-9, max_iters=50, rel_tol=0.0))
+        cfg = small_config(trials=2, snr_db=10.0, detectors=(doomed,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lines = self.solver_lines(cfg)
+        assert lines == ["# solver snr_db=10 map_soav: mean_iterations=nan cap_hits=0/0"]
+
+    def test_lines_do_not_depend_on_worker_count(self):
+        cfg = small_config(n_users=8, n_meas=6)
+        assert self.solver_lines(cfg) == self.solver_lines(small_config(
+            n_users=8, n_meas=6, parallelism=2))
 
 
 class TestEmitCsv:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from soavmud import model
 from soavmud.model import (
     SnrSpec,
     SymbolPrior,
@@ -131,6 +132,22 @@ class TestSynthesize:
         inst = synthesize(prior, S, gains, 0.25, rng)
         residual = inst.y - ((S * gains) @ inst.b + inst.w)
         assert np.linalg.norm(residual) == 0.0
+
+    def test_spectral_bound_is_formed_once(self, monkeypatch):
+        calls = []
+        real = model.power_iteration
+
+        def counting(B, *args, **kwargs):
+            calls.append(B)
+            return real(B, *args, **kwargs)
+
+        monkeypatch.setattr(model, "power_iteration", counting)
+        rng = np.random.default_rng(22)
+        gains = rng.uniform(0.5, 2.0, size=12)
+        inst = synthesize(bpsk_prior(0.8), gaussian_matrix(7, 12, rng), gains, 0.25, rng)
+        assert inst.mix_norm_sq == inst.mix_norm_sq == real(inst.S * gains)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], inst.S * gains)
 
     def test_noise_covariance_matches_sigma(self):
         # Monte Carlo covariance estimate over 1e5 draws; the relative

@@ -20,6 +20,7 @@ from soavmud.optim import (
     estimate_lipschitz,
     fista,
     gradient,
+    power_iteration,
     soft_threshold,
 )
 from soavmud.soav import default_offset, prox_vector, soav_penalty, solve_weights
@@ -105,6 +106,17 @@ class TestEstimateLipschitz:
         data = QuadraticData(B=np.zeros((3, 3)), y=np.zeros(3), scale=1.0)
         with pytest.raises(DegenerateOperatorError):
             estimate_lipschitz(data)
+
+    @pytest.mark.parametrize("scale", [30.0, 0.25, 1.0 / (2.0 * 0.0226)])
+    def test_oracle_bits_from_the_shared_power_iteration(self, scale):
+        # The power iteration does not depend on scale, so one estimate per
+        # matrix serves every scale with the bits of the full computation.
+        B = np.random.default_rng(21).standard_normal((70, 100))
+        data = QuadraticData(B=B, y=np.zeros(70), scale=scale)
+        expected = power_iteration_lipschitz(B, scale)
+        assert np.float64(estimate_lipschitz(data)).view(np.uint64) == np.float64(
+            expected).view(np.uint64)
+        assert power_iteration(B) == power_iteration(B.copy())
 
 
 class TestSoftThreshold:
@@ -217,6 +229,87 @@ class TestFista:
             report = fista(data, prox=lambda z, g: z, config=config)
         np.testing.assert_array_equal(report.solution, y)
         assert report.iterations == 1
+
+
+class TestFistaConvergenceFlag:
+    def test_converged_when_the_stopping_test_fires(self):
+        _, data, _, prox, penalty = make_soav_problem(seed=8, n=8, m=6)
+        report = fista(data, prox=prox, config=SolverConfig(max_iters=500), penalty=penalty)
+        assert report.iterations < 500
+        assert report.converged
+
+    def test_not_converged_when_the_budget_runs_out(self):
+        _, data, _, prox, penalty = make_soav_problem(seed=8, n=8, m=6)
+        for config in (SolverConfig(max_iters=5), SolverConfig(max_iters=50, rel_tol=0.0)):
+            report = fista(data, prox=prox, config=config, penalty=penalty)
+            assert report.iterations == config.max_iters
+            assert not report.converged
+
+
+class TestFistaSharedBound:
+    def test_given_norm_sq_gives_the_same_bits(self):
+        inst, data, _, prox, penalty = make_soav_problem(seed=9, n=100, m=70)
+        own = fista(data, prox=prox, config=SolverConfig(), penalty=penalty)
+        shared = fista(data, prox=prox, config=SolverConfig(), penalty=penalty,
+                       norm_sq=power_iteration(inst.mix))
+        np.testing.assert_array_equal(own.solution.view(np.uint64),
+                                      shared.solution.view(np.uint64))
+        assert own.iterations == shared.iterations
+
+    def test_configured_lipschitz_wins_over_norm_sq(self):
+        _, data, _, prox, penalty = make_soav_problem(seed=9)
+        config = SolverConfig(lipschitz=estimate_lipschitz(data), max_iters=50)
+        plain = fista(data, prox=prox, config=config, penalty=penalty)
+        ignored = fista(data, prox=prox, config=config, penalty=penalty, norm_sq=1e-9)
+        np.testing.assert_array_equal(plain.solution, ignored.solution)
+
+
+class TestMemoryLayout:
+    """fista keeps the bits of ``@`` whatever the memory layout of B.
+
+    ``B.dot`` and ``B @ x`` agree bit for bit on C- and F-ordered matrices,
+    which fista uses ``dot`` on. On other strided views, e.g. every second
+    column, ``@`` and ``dot`` can take different code paths, so there fista
+    keeps ``@``.
+    """
+
+    @staticmethod
+    def layouts():
+        rng = np.random.default_rng(40)
+        base = rng.standard_normal((70, 200))
+        c_order = np.ascontiguousarray(base[:, :100])
+        return {
+            "C": c_order,
+            "F": np.asfortranarray(c_order),
+            "transposed": np.ascontiguousarray(rng.standard_normal((100, 70))).T,
+            "every second column": base[:, ::2],
+            "column block": base[:, :100],
+            "every second row": rng.standard_normal((140, 100))[::2],
+        }
+
+    def test_dot_matches_matmul_on_contiguous_layouts(self):
+        rng = np.random.default_rng(41)
+        for name, B in self.layouts().items():
+            if not (B.flags.c_contiguous or B.flags.f_contiguous):
+                continue
+            for _ in range(20):
+                x, r = rng.standard_normal(B.shape[1]), rng.standard_normal(B.shape[0])
+                np.testing.assert_array_equal(B.dot(x), B @ x, err_msg=name)
+                np.testing.assert_array_equal(B.T.dot(r), B.T @ r, err_msg=name)
+
+    def test_fista_matches_reference_loop_on_every_layout(self):
+        rng = np.random.default_rng(42)
+        for name, B in self.layouts().items():
+            y = B @ rng.choice([-1.0, 0.0, 1.0], B.shape[1]) + 0.1 * rng.standard_normal(70)
+            data = QuadraticData(B=B, y=y, scale=30.0)
+            report = fista(data, prox=soft_threshold, config=SolverConfig(max_iters=100))
+            x, iterations, _ = fista_reference(
+                B, y, 30.0, soft_threshold, lambda _x: 0.0,
+                power_iteration_lipschitz(B, 30.0), 100, 1e-8,
+            )
+            np.testing.assert_array_equal(
+                report.solution.view(np.uint64), x.view(np.uint64), err_msg=name)
+            assert report.iterations == iterations
 
 
 class TestFistaMatchesReferenceLoop:

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import prox_1d_exhaustive, ternary_prox_breakpoints, ternary_prox_cascade
 from soavmud.model import SymbolPrior, bpsk_prior, gaussian_matrix, synthesize
+from soavmud import soav
 from soavmud.soav import (
     SingularWeightSystemError,
     SoavWeights,
@@ -217,6 +218,49 @@ class TestProxTernary:
         for gamma in (0.0, -0.1):
             with pytest.raises(ValueError, match="gamma"):
                 prox_vector([0.3], gamma, weights)
+
+
+class TestProxTables:
+    """The ternary prox builds its breakpoint tables once per (gamma, weights)."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        real = soav._ternary_tables
+
+        def counting(gamma, q):
+            builds.append(gamma)
+            return real(gamma, q)
+
+        monkeypatch.setattr(soav, "_ternary_tables", counting)
+        return builds
+
+    def test_fixed_step_builds_once(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        weights = solve_weights(bpsk_prior(0.8), default_offset(bpsk_prior(0.8)))
+        v = np.linspace(-2.0, 2.0, 101)
+        first = prox_vector(v, 0.01, weights)
+        for _ in range(499):
+            again = prox_vector(v, 0.01, weights)
+        np.testing.assert_array_equal(first.view(np.uint64), again.view(np.uint64))
+        assert builds == [0.01]
+
+    def test_new_step_or_new_weights_rebuild(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        q = solve_weights(bpsk_prior(0.2), default_offset(bpsk_prior(0.2))).q
+        one, two = ternary_weights(q), ternary_weights(q)
+        v = np.linspace(-2.0, 2.0, 101)
+        for gamma, weights in ((0.1, one), (0.2, one), (0.2, one), (0.1, one), (0.1, two)):
+            out = prox_vector(v, gamma, weights)
+            ref = ternary_prox_cascade(v, gamma, tuple(q))
+            np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert builds == [0.1, 0.2, 0.1, 0.1]
+
+    def test_kept_tables_are_read_only(self):
+        weights = ternary_weights((1.0, 2.0, 1.0))
+        for table in weights.prox_tables(0.1):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestProxMatchesCascade:
