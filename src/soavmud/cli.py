@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import BrokenExecutor
 
 from .detectors import DetectorConfig
@@ -291,7 +292,14 @@ def main(argv=None) -> int:
             config = _experiment_from_args(args, axis="snr_db")
         _run_and_emit(config, args.out)
         return 0
-    except (ValueError, OSError, BrokenExecutor, TrialError) as exc:
+    except TrialError as exc:
+        # A trial failed inside the program rather than on its input, so show
+        # where: the traceback of the cause (from a worker, its remote text).
+        if exc.__cause__ is not None:
+            traceback.print_exception(exc.__cause__, file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

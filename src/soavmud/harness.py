@@ -44,9 +44,6 @@ _MATRIX_STREAM_KEY = 0
 
 _RECOVERABLE = (DivergenceError, SingularWeightSystemError, np.linalg.LinAlgError)
 
-# Detectors that run the iterative solver and so report iterations and cap hits.
-_SOLVER_KINDS = ("lasso", "map_soav")
-
 # (set, get) thread-count functions of the OpenBLAS builds numpy ships, in the
 # order they are tried: numpy 2.x wheels, then older 64-bit and 32-bit builds.
 _BLAS_THREAD_SYMBOLS = (
@@ -209,6 +206,7 @@ class SweepResult:
     config: ExperimentConfig
     mean_iterations: dict  # solver kind -> mean iterations of its successful solves
     cap_hits: dict         # solver kind -> solves that stopped at max_iters unconverged
+    # A solver kind with no successful solve at this point has no entry.
 
 
 def error_ratio(decided, truth) -> float:
@@ -285,15 +283,14 @@ def _trial_task(args) -> TrialRecord:
 def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepResult:
     means, std_errs, failures, mean_iterations, cap_hits = {}, {}, {}, {}, {}
     for det in config.detectors:
-        if det.kind in _SOLVER_KINDS:
-            solves = [
-                (rec.iterations[det.kind], rec.converged[det.kind])
-                for rec in records
-                if det.kind in rec.converged
-            ]
-            mean_iterations[det.kind] = (
-                sum(n for n, _ in solves) / len(solves) if solves else float("nan")
-            )
+        # rec.converged holds the detectors that returned a SolveReport.
+        solves = [
+            (rec.iterations[det.kind], rec.converged[det.kind])
+            for rec in records
+            if det.kind in rec.converged
+        ]
+        if solves:
+            mean_iterations[det.kind] = sum(n for n, _ in solves) / len(solves)
             cap_hits[det.kind] = sum(1 for _, done in solves if not done)
         ratios = np.array(
             [
@@ -438,7 +435,7 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
             parts.append(f"lam={_fmt(det.lam)}")
         if det.kind == "map_soav":
             parts.append(f"offset={_fmt(det.offset)}")
-        if det.kind in _SOLVER_KINDS:
+        if det.kind in ("lasso", "map_soav"):
             parts.append(
                 f"max_iters={det.solver.max_iters} rel_tol={_fmt(det.solver.rel_tol)}"
             )

@@ -109,28 +109,16 @@ def gradient(data: QuadraticData, x) -> np.ndarray:
     return 2.0 * data.scale * (data.B.T @ (data.B @ x - data.y))
 
 
-def _matvecs(B: np.ndarray):
-    """The products ``x -> B x`` and ``r -> B^T r`` as two callables.
-
-    ``ndarray.dot`` skips the dispatch of ``@`` and returns its bits when B
-    is C- or F-contiguous. On any other view, e.g. ``base[:, ::2]``, the two
-    can differ in the last bits, so such a B keeps ``@``.
-    """
-    Bt = B.T
-    if B.flags.c_contiguous or B.flags.f_contiguous:
-        return B.dot, Bt.dot
-    return B.__matmul__, Bt.__matmul__
-
-
 def power_iteration(B, rel_tol: float = 1e-6, max_iters: int = 1000) -> float:
     """Power-iteration estimate of sigma_max(B)^2, the top eigenvalue of B^T B.
 
     Starts from a fixed pseudo-random vector, so equal matrices give equal
     bits; it depends on B alone, so solvers that share B can share it.
+    Products use ``ndarray.dot``, as in ``fista``.
     """
     if not np.any(B):
         raise DegenerateOperatorError("cannot bound the spectrum of a zero operator")
-    matvec, rmatvec = _matvecs(B)
+    matvec, rmatvec = B.dot, B.T.dot
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(B.shape[1])
     v /= np.linalg.norm(v)
@@ -214,7 +202,9 @@ def fista(
     rel_tol = config.rel_tol
     g = penalty if penalty is not None else (lambda _x: 0.0)
     B, y = data.B, data.y
-    matvec, rmatvec = _matvecs(B)
+    # dot skips the dispatch of @ and gives its bits on C- and F-ordered B; on
+    # other strided views, e.g. base[:, ::2], the two can differ in the last bits.
+    matvec, rmatvec = B.dot, B.T.dot
     x_prev = np.zeros(B.shape[1])
     x_tilde = x_prev
     x = x_prev

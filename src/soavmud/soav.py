@@ -9,8 +9,8 @@ is convex whenever all q_l come out nonnegative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -54,8 +54,6 @@ class SoavWeights:
     c: float
     alphabet: np.ndarray
     ternary: bool = field(init=False)
-    # (gamma, edges, const) of the last call to prox_tables.
-    _prox_tables: Optional[tuple] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
@@ -71,18 +69,6 @@ class SoavWeights:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "ternary", np.array_equal(alphabet, _TERNARY))
-
-    def prox_tables(self, gamma: float):
-        """(edges, const) of the ternary prox of gamma * g, see _ternary_tables.
-
-        The tables of the last gamma asked for are kept, so repeated calls
-        with one step size build them once.
-        """
-        cached = self._prox_tables
-        if cached is None or cached[0] != gamma:
-            cached = (gamma,) + _ternary_tables(gamma, self.q)
-            object.__setattr__(self, "_prox_tables", cached)
-        return cached[1], cached[2]
 
     @property
     def convex(self) -> bool:
@@ -147,14 +133,18 @@ def soav_objective(x, instance: SystemInstance, weights: SoavWeights) -> float:
     return data + soav_penalty(x, weights)
 
 
-def _ternary_tables(gamma: float, q: np.ndarray):
+# SoavWeights hashes by identity, so the one entry is the (gamma, weights) of
+# the solve in progress and its 500 prox calls build the tables once.
+@functools.lru_cache(maxsize=1)
+def _ternary_tables(gamma: float, weights: SoavWeights):
     """(edges, const) of the ternary prox of gamma * g, see prox_vector.
 
     ``edges`` is the running maximum of the six breakpoints: a breakpoint
     below an earlier one can never be the first above v. ``const`` is -s on
-    the shift branches and the constant on the others.
+    the shift branches and the constant on the others. Both are read-only,
+    as the cache hands them out again.
     """
-    q0, q1, q2 = q.tolist()
+    q0, q1, q2 = weights.q.tolist()
     lo = gamma * (-q0 - q1 - q2)
     inner_lo = gamma * (q0 - q1 - q2)
     inner_hi = gamma * (q0 + q1 - q2)
@@ -178,15 +168,15 @@ def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
     the running maximum of the breakpoints finds that first branch. NaN
     sorts past every breakpoint and lands on the last branch.
 
-    The tables come from ``weights.prox_tables``, so a solver that calls
-    this with one fixed step builds them once.
+    The tables come from ``_ternary_tables``, which keeps the last ones, so
+    a solver that calls this with one fixed step builds them once.
     """
     if not weights.ternary:
         raise UnsupportedAlphabetError("closed-form prox requires alphabet (-1, 0, 1)")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     v = np.asarray(values, dtype=float)
-    edges, const = weights.prox_tables(gamma)
+    edges, const = _ternary_tables(gamma, weights)
     idx = edges.searchsorted(v, side="right")
     # v * 1 + (-s) is v - s exactly, and v * 0 + c is c for finite v; an
     # infinite v only reaches the two outer branches, which have slope 1.

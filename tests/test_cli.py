@@ -232,10 +232,15 @@ class TestCommands:
         code = main(["simulate", "--users", "8", "--meas", "6", "--trials", "4",
                      "--snr", "12", "--seed", "13", "--detectors", "lmmse"])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "error: trial 2 at snr_db=12.0 with master_seed=13 failed:"
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "\nerror: trial 2 at snr_db=12.0 with master_seed=13 failed:"
             " RuntimeError: injected fault\n"
         )
+        # The cause's traceback shows where the trial failed.
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert "in failing\n" in err
+        assert "RuntimeError: injected fault\nerror: " in err
 
     def test_nan_sigma2_returns_error_code(self, capsys):
         code = main([

@@ -224,29 +224,22 @@ class TestProxTables:
     """The ternary prox builds its breakpoint tables once per (gamma, weights)."""
 
     @staticmethod
-    def count_builds(monkeypatch):
-        builds = []
-        real = soav._ternary_tables
+    def count_builds():
+        soav._ternary_tables.cache_clear()
+        return lambda: soav._ternary_tables.cache_info().misses
 
-        def counting(gamma, q):
-            builds.append(gamma)
-            return real(gamma, q)
-
-        monkeypatch.setattr(soav, "_ternary_tables", counting)
-        return builds
-
-    def test_fixed_step_builds_once(self, monkeypatch):
-        builds = self.count_builds(monkeypatch)
+    def test_fixed_step_builds_once(self):
+        builds = self.count_builds()
         weights = solve_weights(bpsk_prior(0.8), default_offset(bpsk_prior(0.8)))
         v = np.linspace(-2.0, 2.0, 101)
         first = prox_vector(v, 0.01, weights)
         for _ in range(499):
             again = prox_vector(v, 0.01, weights)
         np.testing.assert_array_equal(first.view(np.uint64), again.view(np.uint64))
-        assert builds == [0.01]
+        assert builds() == 1
 
-    def test_new_step_or_new_weights_rebuild(self, monkeypatch):
-        builds = self.count_builds(monkeypatch)
+    def test_new_step_or_new_weights_rebuild(self):
+        builds = self.count_builds()
         q = solve_weights(bpsk_prior(0.2), default_offset(bpsk_prior(0.2))).q
         one, two = ternary_weights(q), ternary_weights(q)
         v = np.linspace(-2.0, 2.0, 101)
@@ -254,11 +247,11 @@ class TestProxTables:
             out = prox_vector(v, gamma, weights)
             ref = ternary_prox_cascade(v, gamma, tuple(q))
             np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
-        assert builds == [0.1, 0.2, 0.1, 0.1]
+        assert builds() == 4
 
     def test_kept_tables_are_read_only(self):
         weights = ternary_weights((1.0, 2.0, 1.0))
-        for table in weights.prox_tables(0.1):
+        for table in soav._ternary_tables(0.1, weights):
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
