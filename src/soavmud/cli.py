@@ -6,8 +6,10 @@ Subcommands:
     weights         print the calibrated penalty weights for a prior
     oracle-compare  small-system sweep including the exhaustive-MAP oracle
 
-A JSON config file may supply any ExperimentConfig field; explicit command
-line flags override file values.
+A sweep's settings are merged in layers, each overriding the one before: the
+ExperimentConfig, DetectorConfig and SolverConfig defaults, the subcommand's
+own defaults, the JSON config file's top level, the file's detector entry (for
+that detector), then the command line flags.
 """
 
 from __future__ import annotations
@@ -18,20 +20,27 @@ import sys
 import traceback
 from concurrent.futures import BrokenExecutor
 
-from .detectors import DetectorConfig
+from .detectors import DETECTOR_KINDS, DetectorConfig
 from .harness import ExperimentConfig, TrialError, emit_csv, run_sweep
 from .model import bpsk_prior
 from .optim import SolverConfig
 from .soav import default_offset, solve_weights
 
-_CANONICAL_KINDS = {
-    "lmmse": "lmmse",
-    "lasso": "lasso",
-    "map-soav": "map_soav",
-    "map_soav": "map_soav",
-    "exhaustive-map": "exhaustive_map",
-    "exhaustive_map": "exhaustive_map",
+# oracle-compare's defaults: a system small enough to enumerate, and every detector.
+_ORACLE_DEFAULTS = {
+    "n_users": 8,
+    "n_meas": 6,
+    "trials": 200,
+    "detectors": [{"kind": kind} for kind in DETECTOR_KINDS],
 }
+# The JSON type of each config key. Only the two whose default is None may be null.
+_EXPERIMENT_TYPES = {"n_users": int, "n_meas": int, "trials": int, "master_seed": int,
+                     "parallelism": int, "fix_matrix": bool, "sigma_w2_override": float}
+_DETECTOR_TYPES = {"lam": float, "alpha": float, "offset": float}
+_SOLVER_TYPES = {"max_iters": int, "rel_tol": float, "lipschitz": float}
+_NULLABLE = ("sigma_w2_override", "lipschitz")
+# Detector fields that the file's top level and the flags set for every detector.
+_SHARED = ("lam", "alpha", "offset", "max_iters", "rel_tol")
 
 
 def parse_axis(text: str) -> list:
@@ -66,35 +75,29 @@ def parse_detectors(text: str) -> list:
         token = token.strip().lower()
         if not token:
             continue
-        if token not in _CANONICAL_KINDS:
+        kind = token.replace("-", "_")
+        if kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector {token!r}")
-        kinds.append(_CANONICAL_KINDS[token])
+        kinds.append(kind)
     if not kinds:
         raise ValueError("no detectors given")
     return kinds
 
 
-def _detector_from_dict(doc: dict) -> DetectorConfig:
-    if not isinstance(doc, dict):
-        raise ValueError(f"detector entries must be JSON objects, got {doc!r}")
-    doc = dict(doc)
-    kind = _CANONICAL_KINDS.get(str(doc.pop("kind", "")).lower())
-    if kind is None:
+def _detector_from_dict(entry, file_doc: dict, flags: dict) -> DetectorConfig:
+    """A detector from its entry, over the file's shared fields and under the flags'."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"detector entries must be JSON objects, got {entry!r}")
+    below, above = ({key: doc[key] for key in _SHARED if key in doc} for doc in (file_doc, flags))
+    doc = {**below, **entry, **above}
+    kind = str(doc.pop("kind", "")).lower().replace("-", "_")
+    if kind not in DETECTOR_KINDS:
         raise ValueError("detector entries need a valid 'kind'")
-    lipschitz = doc.pop("lipschitz", None)
-    solver = SolverConfig(
-        lipschitz=None if lipschitz is None else _json_typed(lipschitz, float, "lipschitz"),
-        max_iters=_json_typed(doc.pop("max_iters", 500), int, "max_iters"),
-        rel_tol=_json_typed(doc.pop("rel_tol", 1e-8), float, "rel_tol"),
-    )
-    known = {
-        key: _json_typed(doc.pop(key), float, key)
-        for key in ("lam", "alpha", "offset")
-        if key in doc
-    }
-    if doc:
-        raise ValueError(f"unknown detector fields: {sorted(doc)}")
-    return DetectorConfig(kind=kind, solver=solver, **known)
+    unknown = doc.keys() - _DETECTOR_TYPES.keys() - _SOLVER_TYPES.keys()
+    if unknown:
+        raise ValueError(f"unknown detector fields: {sorted(unknown)}")
+    solver = SolverConfig(**_typed(doc, _SOLVER_TYPES))
+    return DetectorConfig(kind=kind, solver=solver, **_typed(doc, _DETECTOR_TYPES))
 
 
 def _load_config_file(path) -> dict:
@@ -133,83 +136,59 @@ def _json_axis(value, key: str) -> list:
     return [_json_typed(v, float, key) for v in values]
 
 
-def _pick(args_value, file_doc: dict, key: str, default, kind: type):
-    """The flag's value, else the file's, else the default; checked against ``kind``.
-
-    A field whose default is None may be left null.
-    """
-    value = args_value if args_value is not None else file_doc.get(key, default)
-    if value is None and default is None:
-        return None
-    return _json_typed(value, kind, key)
+def _typed(doc: dict, types: dict) -> dict:
+    """The keys of ``types`` that ``doc`` sets, each checked against its JSON type."""
+    return {
+        key: None if doc[key] is None and key in _NULLABLE else _json_typed(doc[key], kind, key)
+        for key, kind in types.items()
+        if key in doc
+    }
 
 
-def _build_detector_list(kinds, args, file_doc) -> tuple:
-    if kinds is None:
-        file_dets = file_doc.get("detectors")
-        if file_dets is not None and not isinstance(file_dets, list):
-            raise ValueError(
-                f"detectors must be a JSON list of detector objects, got {file_dets!r}"
-            )
-        if file_dets:
-            return tuple(_detector_from_dict(d) for d in file_dets)
-        kinds = ["lmmse", "lasso", "map_soav"]
-    solver = SolverConfig(
-        max_iters=_pick(args.max_iters, file_doc, "max_iters", 500, int),
-        rel_tol=_pick(args.rel_tol, file_doc, "rel_tol", 1e-8, float),
-    )
-    common = dict(
-        lam=_pick(args.lam, file_doc, "lam", 30.0, float),
-        alpha=_pick(args.alpha, file_doc, "alpha", 0.5, float),
-        offset=_pick(args.offset, file_doc, "offset", 10.0, float),
-        solver=solver,
-    )
-    return tuple(DetectorConfig(kind=kind, **common) for kind in kinds)
-
-
-def _experiment_from_args(args, axis: str) -> ExperimentConfig:
+def _experiment_from_args(args) -> ExperimentConfig:
+    """The sweep that the parsed command line ``args`` asks for."""
+    axis = "rho" if args.command == "sweep-rho" else "snr_db"
+    base = _ORACLE_DEFAULTS if args.command == "oracle-compare" else {}
     file_doc = _load_config_file(args.config) if args.config else {}
-    kinds = parse_detectors(args.detectors) if args.detectors else None
-    detectors = _build_detector_list(kinds, args, file_doc)
-    common = dict(
-        n_users=_pick(args.users, file_doc, "n_users", 100, int),
-        n_meas=_pick(args.meas, file_doc, "n_meas", 70, int),
-        trials=_pick(args.trials, file_doc, "trials", 1000, int),
-        master_seed=_pick(args.seed, file_doc, "master_seed", 0, int),
-        parallelism=_pick(args.parallelism, file_doc, "parallelism", 1, int),
-        fix_matrix=_pick(args.fix_matrix or None, file_doc, "fix_matrix", False, bool),
-        detectors=detectors,
-    )
-    sigma2 = _pick(args.sigma2, file_doc, "sigma_w2_override", None, float)
-    if axis == "snr_db":
-        if args.snr:
-            snr = parse_axis(args.snr)
-        else:
-            snr = _json_axis(file_doc.get("snr_db", 12.0), "snr_db")
-        return ExperimentConfig(
-            rho=_pick(args.rho, file_doc, "rho", 0.8, float),
-            snr_db=snr[0] if len(snr) == 1 else tuple(snr),
-            sigma_w2_override=sigma2,
-            **common,
-        )
-    rho = parse_axis(args.rho) if args.rho else file_doc.get("rho", None)
-    if rho is None:
-        raise ValueError("a rho sweep needs --rho")
-    if sigma2 is None:
-        raise ValueError("a rho sweep needs --sigma2")
-    return ExperimentConfig(
-        rho=tuple(_json_axis(rho, "rho")), snr_db=None, sigma_w2_override=sigma2, **common
-    )
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    if axis in flags:
+        flags[axis] = parse_axis(flags[axis])
+    if "detectors" in flags:
+        flags["detectors"] = [{"kind": kind} for kind in parse_detectors(flags["detectors"])]
+    merged = {**base, **file_doc, **flags}
+    entries = merged.get("detectors")
+    if entries is not None and not isinstance(entries, list):
+        raise ValueError(f"detectors must be a JSON list of detector objects, got {entries!r}")
+    # A null or empty list in the file leaves the detectors of the layers below.
+    entries = entries or base.get("detectors") or [
+        {"kind": det.kind} for det in ExperimentConfig().detectors
+    ]
+    fields = _typed(merged, _EXPERIMENT_TYPES)
+    fields["detectors"] = tuple(_detector_from_dict(e, file_doc, flags) for e in entries)
+    if axis == "rho":
+        if merged.get("rho") is None:
+            raise ValueError("a rho sweep needs --rho")
+        if fields.get("sigma_w2_override") is None:
+            raise ValueError("a rho sweep needs --sigma2")
+        return ExperimentConfig(rho=tuple(_json_axis(merged["rho"], "rho")), snr_db=None, **fields)
+    if "rho" in merged:
+        fields["rho"] = _json_typed(merged["rho"], float, "rho")
+    if "snr_db" in merged:
+        snr = _json_axis(merged["snr_db"], "snr_db")
+        fields["snr_db"] = snr[0] if len(snr) == 1 else tuple(snr)
+    return ExperimentConfig(**fields)
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--users", type=int, help="number of users N (default 100)")
-    parser.add_argument("--meas", type=int, help="number of measurements M (default 70)")
+    parser.add_argument("--users", dest="n_users", type=int,
+                        help="number of users N (default 100)")
+    parser.add_argument("--meas", dest="n_meas", type=int,
+                        help="number of measurements M (default 70)")
     parser.add_argument("--trials", type=int, help="trials per axis point (default 1000)")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
+    parser.add_argument("--seed", dest="master_seed", type=int, help="master seed (default 0)")
     parser.add_argument("--parallelism", type=int, help="worker processes (default 1)")
-    parser.add_argument("--fix-matrix", action="store_true", default=False,
+    parser.add_argument("--fix-matrix", action="store_true", default=None,
                         help="reuse one mixing matrix for every trial")
     parser.add_argument("--detectors", help="comma list, e.g. lmmse,lasso,map-soav")
     parser.add_argument("--lam", type=float, help="LASSO quadratic weight (default 30)")
@@ -227,39 +206,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="soavmud", description="Monte Carlo simulator for ternary multiuser detection"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     sim = sub.add_parser("simulate", help="SNR sweep")
-    _add_common(sim)
-    sim.add_argument("--rho", type=float, help="non-active rate (default 0.8)")
-    sim.add_argument("--snr", help="SNR axis in dB: value, list, or start:stop:step")
-    sim.add_argument("--sigma2", type=float,
-                     help="noise variance override (single-point runs only)")
-
     rho = sub.add_parser("sweep-rho", help="non-active-rate sweep at fixed variance")
+    wts = sub.add_parser("weights", help="print the calibrated penalty weights")
+    cmp_ = sub.add_parser(
+        "oracle-compare",
+        help="small-system sweep including exhaustive MAP (default 8 users,"
+        " 6 measurements, 200 trials, every detector)",
+    )
+    for snr_sweep in (sim, cmp_):
+        _add_common(snr_sweep)
+        snr_sweep.add_argument("--rho", type=float, help="non-active rate (default 0.8)")
+        snr_sweep.add_argument("--snr", dest="snr_db",
+                               help="SNR axis in dB: value, list, or start:stop:step (default 12)")
+        snr_sweep.add_argument("--sigma2", dest="sigma_w2_override", type=float,
+                               help="noise variance override (single-point runs only)")
+
     _add_common(rho)
     rho.add_argument("--rho", help="rho axis: value, list, or start:stop:step")
-    rho.add_argument("--sigma2", type=float, help="fixed noise variance (required)")
+    rho.add_argument("--sigma2", dest="sigma_w2_override", type=float,
+                     help="fixed noise variance (required)")
 
-    wts = sub.add_parser("weights", help="print the calibrated penalty weights")
     wts.add_argument("--rho", type=float, required=True)
-    wts.add_argument("--offset", type=float, default=10.0)
-
-    cmp_ = sub.add_parser("oracle-compare",
-                          help="small-system sweep including exhaustive MAP")
-    _add_common(cmp_)
-    cmp_.add_argument("--rho", type=float, help="non-active rate (default 0.8)")
-    cmp_.add_argument("--snr", help="SNR axis in dB (default 12)")
-    cmp_.add_argument("--sigma2", type=float,
-                      help="noise variance override (single-point runs only)")
+    wts.add_argument("--offset", type=float, default=DetectorConfig.offset)
     return parser
-
-
-def _run_and_emit(config: ExperimentConfig, out) -> None:
-    results = run_sweep(config)
-    if out:
-        emit_csv(results, out)
-    else:
-        emit_csv(results, sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -274,23 +244,7 @@ def main(argv=None) -> int:
             print(f"q=[{q_text}]")
             print(f"convex={weights.convex}")
             return 0
-        if args.command == "simulate":
-            config = _experiment_from_args(args, axis="snr_db")
-        elif args.command == "sweep-rho":
-            config = _experiment_from_args(args, axis="rho")
-        else:  # oracle-compare
-            if args.users is None:
-                args.users = 8
-            if args.meas is None:
-                args.meas = 6
-            if args.trials is None:
-                args.trials = 200
-            if args.snr is None:
-                args.snr = "12"
-            if args.detectors is None:
-                args.detectors = "lmmse,lasso,map-soav,exhaustive-map"
-            config = _experiment_from_args(args, axis="snr_db")
-        _run_and_emit(config, args.out)
+        emit_csv(run_sweep(_experiment_from_args(args)), args.out or sys.stdout)
         return 0
     except TrialError as exc:
         # A trial failed inside the program rather than on its input, so show

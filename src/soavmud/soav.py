@@ -102,7 +102,7 @@ def solve_weights(prior: SymbolPrior, c: float) -> SoavWeights:
     R, p_c = build_weight_system(prior, c)
     q = _solve_pivoted(R, p_c)
     residual = float(np.max(np.abs(R @ q - p_c)))
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:  # also rejects a NaN residual
         raise SingularWeightSystemError(
             f"weight system solved to residual {residual:.2e} only"
         )

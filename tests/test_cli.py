@@ -14,6 +14,15 @@ from soavmud import cli, harness
 from soavmud.cli import main, parse_axis, parse_detectors
 
 
+def _run_python(*args):
+    """Run a fresh interpreter with ``args``, importing this checkout's soavmud."""
+    src = str(Path(soavmud.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
 class TestParsing:
     def test_single_value(self):
         assert parse_axis("12") == [12.0]
@@ -57,6 +66,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "C=13.7402" in out
         assert "convex=False" in out
+
+    @pytest.mark.parametrize("offset", ["nan", "inf"])
+    def test_weights_nonfinite_offset_returns_error_code(self, capsys, offset):
+        assert main(["weights", "--rho", "0.8", "--offset", offset]) == 1
+        assert "weight system solved to residual" in capsys.readouterr().err
 
     def test_simulate_writes_csv(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -126,6 +140,43 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "trials=3" in out          # flag wins
         assert "master_seed=11" in out    # file value survives
+
+    def test_flags_override_a_file_detector_entry(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"detectors": [{"kind": "lasso"}]}))
+        code = main(["simulate", "--config", str(path), "--users", "8", "--meas", "6",
+                     "--trials", "2", "--max-iters", "7", "--lam", "5", "--alpha", "0.3"])
+        assert code == 0
+        assert ("# detector lasso: alpha=0.3 lam=5 max_iters=7 rel_tol=1e-08\n"
+                in capsys.readouterr().out)
+
+    def test_file_overrides_oracle_compare_defaults(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"n_users": 7, "n_meas": 5, "trials": 3, "snr_db": 9}))
+        assert main(["oracle-compare", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "# axis=snr_db n_users=7 n_meas=5 trials=3 master_seed=0 fix_matrix=False\n" in out
+        assert "snr_db,9,exhaustive_map,3," in out
+
+    def test_detector_entry_overrides_the_file_top_level(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "lam": 4, "max_iters": 9,
+            "detectors": [{"kind": "lasso", "lam": 6}, {"kind": "map-soav"}],
+        }))
+        code = main(["simulate", "--config", str(path), "--users", "8", "--meas", "6",
+                     "--trials", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "# detector lasso: alpha=0.5 lam=6 max_iters=9 rel_tol=1e-08\n" in out
+        assert "# detector map_soav: alpha=0.5 offset=10 max_iters=9 rel_tol=1e-08\n" in out
+
+    def test_no_flags_and_no_file_give_the_dataclass_defaults(self, monkeypatch):
+        got = []
+        monkeypatch.setattr(cli, "run_sweep", got.append)
+        monkeypatch.setattr(cli, "emit_csv", lambda results, destination: None)
+        assert main(["simulate"]) == 0
+        assert got == [harness.ExperimentConfig()]
 
     def test_config_file_numeric_string_sigma2(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -208,15 +259,30 @@ class TestCommands:
             sys.exit(cli.main(["simulate", "--users", "8", "--meas", "6", "--trials", "8",
                                "--seed", "13", "--parallelism", "2"]))
         """)
-        src = str(Path(soavmud.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=60)
+        proc = _run_python("-c", script)
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr
         assert "master_seed=13" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_detector_failures_are_logged_to_stderr(self, tmp_path):
+        # In a fresh interpreter: pytest's log capture would replace the
+        # last-resort handler that prints the warnings when no logging is set up.
+        # rel_tol 0, because the stopping test would end the overflowing solve
+        # before its iterates turn non-finite and fista raises.
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(
+            {"detectors": [{"kind": "lasso", "lipschitz": 1e-9, "rel_tol": 0}]}
+        ))
+        proc = _run_python("-W", "ignore::RuntimeWarning", "-m", "soavmud.cli", "simulate",
+                           "--config", str(path), "--users", "8", "--meas", "6",
+                           "--trials", "2", "--seed", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "".join(
+            f"trial {i} at snr_db=12.0: detector lasso failed (solver produced a non-finite"
+            " iterate; the Lipschitz bound is too small)\n" for i in range(2)
+        )
+        assert "# failures snr_db=12 lasso: 2\n" in proc.stdout
 
     def test_failing_trial_is_named(self, monkeypatch, capsys):
         calls = []

@@ -121,6 +121,11 @@ class TestSolveWeights:
         with pytest.raises(SingularWeightSystemError):
             _solve_pivoted(np.zeros((2, 2)), np.ones(2))
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_nonfinite_offset_raises(self, c):
+        with pytest.raises(SingularWeightSystemError):
+            solve_weights(bpsk_prior(0.8), c)
+
 
 class TestSoavObjective:
     def test_zero_residual_leaves_penalty_only(self):
