@@ -150,6 +150,9 @@ def _experiment_from_args(args) -> ExperimentConfig:
     axis = "rho" if args.command == "sweep-rho" else "snr_db"
     base = _ORACLE_DEFAULTS if args.command == "oracle-compare" else {}
     file_doc = _load_config_file(args.config) if args.config else {}
+    unknown = file_doc.keys() - _EXPERIMENT_TYPES.keys() - {"rho", "snr_db", "detectors", *_SHARED}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     flags = {key: value for key, value in vars(args).items() if value is not None}
     if axis in flags:
         flags[axis] = parse_axis(flags[axis])

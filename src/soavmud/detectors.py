@@ -15,13 +15,7 @@ import numpy as np
 
 from .model import SymbolPrior, SystemInstance
 from .optim import QuadraticData, SolveReport, SolverConfig, fista, soft_threshold
-from .soav import (
-    UnsupportedAlphabetError,
-    default_offset,
-    prox_vector,
-    soav_penalty,
-    solve_weights,
-)
+from .soav import UnsupportedAlphabetError, default_offset, prox_vector, solve_weights
 
 __all__ = [
     "DETECTOR_KINDS",
@@ -112,7 +106,7 @@ def lmmse(
     return DetectionResult(raw=raw, decided=threshold_map(raw, alpha))
 
 
-def _solve(instance, data, prox, penalty, config: DetectorConfig) -> DetectionResult:
+def _solve(instance, data, prox, config: DetectorConfig) -> DetectionResult:
     """Run fista on ``data`` and quantize its solution.
 
     Unless the config fixes L, the step comes from the instance's cached
@@ -120,7 +114,7 @@ def _solve(instance, data, prox, penalty, config: DetectorConfig) -> DetectionRe
     iteration.
     """
     norm_sq = instance.mix_norm_sq if config.solver.lipschitz is None else None
-    report = fista(data, prox=prox, config=config.solver, penalty=penalty, norm_sq=norm_sq)
+    report = fista(data, prox=prox, config=config.solver, norm_sq=norm_sq)
     return DetectionResult(
         raw=report.solution,
         decided=threshold_map(report.solution, config.alpha),
@@ -131,9 +125,7 @@ def _solve(instance, data, prox, penalty, config: DetectorConfig) -> DetectionRe
 def lasso(instance: SystemInstance, config: DetectorConfig) -> DetectionResult:
     """Solve min_x lam * ||y - S A x||^2 + ||x||_1 and quantize."""
     data = QuadraticData(B=instance.mix, y=instance.y, scale=config.lam)
-    return _solve(
-        instance, data, soft_threshold, lambda x: float(np.abs(x).sum()), config
-    )
+    return _solve(instance, data, soft_threshold, config)
 
 
 def map_soav(
@@ -158,7 +150,7 @@ def map_soav(
     def prox(z, gamma):
         return prox_vector(z, gamma, weights)
 
-    return _solve(instance, data, prox, lambda x: soav_penalty(x, weights), config)
+    return _solve(instance, data, prox, config)
 
 
 def map_lattice_objective(x, instance: SystemInstance, prior: SymbolPrior) -> float:

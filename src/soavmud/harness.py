@@ -190,9 +190,8 @@ class TrialRecord:
     trial_index: int
     axis_value: float
     error_counts: dict      # detector kind -> int, or None when the detector failed
-    iterations: dict        # detector kind -> solver iterations (0 for closed forms)
     failure_reasons: dict   # detector kind -> message, only for failed detectors
-    converged: dict         # detector kind -> SolveReport.converged, solver runs only
+    solves: dict            # detector kind -> (iterations, converged), solver runs only
 
 
 @dataclass(frozen=True)
@@ -245,13 +244,12 @@ def _run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) ->
     else:
         S = gaussian_matrix(config.n_meas, config.n_users, rng)
     instance = synthesize(prior, S, np.ones(config.n_users), sigma_w2, rng)
-    counts, iters, reasons, converged = {}, {}, {}, {}
+    counts, reasons, solves = {}, {}, {}
     for det in config.detectors:
         try:
             result = run_detector(instance, prior, det)
         except _RECOVERABLE as exc:
             counts[det.kind] = None
-            iters[det.kind] = 0
             reasons[det.kind] = f"{type(exc).__name__}: {exc}"
             logger.warning(
                 "trial %d at %s=%s: detector %s failed (%s)",
@@ -260,18 +258,14 @@ def _run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) ->
             continue
         counts[det.kind] = int(np.count_nonzero(result.decided != instance.b))
         report = result.diagnostics
-        if report is None:
-            iters[det.kind] = 0
-        else:
-            iters[det.kind] = report.iterations
-            converged[det.kind] = report.converged
+        if report is not None:
+            solves[det.kind] = (report.iterations, report.converged)
     return TrialRecord(
         trial_index=trial_index,
         axis_value=float(axis_value),
         error_counts=counts,
-        iterations=iters,
         failure_reasons=reasons,
-        converged=converged,
+        solves=solves,
     )
 
 
@@ -283,12 +277,7 @@ def _trial_task(args) -> TrialRecord:
 def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepResult:
     means, std_errs, failures, mean_iterations, cap_hits = {}, {}, {}, {}, {}
     for det in config.detectors:
-        # rec.converged holds the detectors that returned a SolveReport.
-        solves = [
-            (rec.iterations[det.kind], rec.converged[det.kind])
-            for rec in records
-            if det.kind in rec.converged
-        ]
+        solves = [rec.solves[det.kind] for rec in records if det.kind in rec.solves]
         if solves:
             mean_iterations[det.kind] = sum(n for n, _ in solves) / len(solves)
             cap_hits[det.kind] = sum(1 for _, done in solves if not done)

@@ -75,7 +75,6 @@ class SolverConfig:
     lipschitz: Optional[float] = None
     max_iters: int = 500
     rel_tol: float = 1e-8
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.lipschitz is not None and not 0.0 < self.lipschitz < math.inf:
@@ -88,7 +87,7 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Solver output: solution, iterations used, and objective bookkeeping.
+    """Solver output: the solution and how the solve ended.
 
     ``converged`` is True only when the stopping test fired; a solve that
     ran its whole iteration budget reports False.
@@ -96,9 +95,7 @@ class SolveReport:
 
     solution: np.ndarray
     iterations: int
-    final_objective: float
-    objective_trace: Optional[list] = None
-    converged: bool = False
+    converged: bool
 
 
 def gradient(data: QuadraticData, x) -> np.ndarray:
@@ -169,7 +166,6 @@ def fista(
     data: QuadraticData,
     prox: Callable[[np.ndarray, float], np.ndarray],
     config: SolverConfig,
-    penalty: Optional[Callable[[np.ndarray], float]] = None,
     norm_sq: Optional[float] = None,
 ) -> SolveReport:
     """Accelerated proximal-gradient minimization of f(x) + g(x).
@@ -179,8 +175,6 @@ def fista(
         prox: callable (z, gamma) -> prox of gamma * g at z, applied with
             the fixed step gamma = 1/L.
         config: iteration budget, stopping tolerance, optional L.
-        penalty: g itself, used only to report objective values; omitted
-            means g is treated as zero in the reports.
         norm_sq: ``power_iteration(data.B)``, when the caller already has
             it; L is then formed from it exactly as ``estimate_lipschitz``
             would. Ignored when ``config.lipschitz`` is set.
@@ -189,7 +183,8 @@ def fista(
     step at the extrapolation point, applies the prox, then extrapolates for
     the next iteration. Stops when ||x_k - x_{k-1}|| <= rel_tol (1 + ||x_k||)
     or the iteration budget runs out; rel_tol = 0 disables the early stop so
-    the full budget (and trajectory) is always produced.
+    the full budget is always run. A step whose square overflows never stops
+    the solve.
     """
     if config.lipschitz is not None:
         L = config.lipschitz
@@ -200,7 +195,6 @@ def fista(
     gamma = 1.0 / L
     two_scale = 2.0 * data.scale
     rel_tol = config.rel_tol
-    g = penalty if penalty is not None else (lambda _x: 0.0)
     B, y = data.B, data.y
     # dot skips the dispatch of @ and gives its bits on C- and F-ordered B; on
     # other strided views, e.g. base[:, ::2], the two can differ in the last bits.
@@ -209,8 +203,6 @@ def fista(
     x_tilde = x_prev
     x = x_prev
     t = 1.0
-    trace = [] if config.record_trajectory else None
-    iterations = 0
     converged = False
     for k in range(1, config.max_iters + 1):
         # In place, the gradient step gamma * 2 scale B^T (B x_tilde - y)
@@ -233,18 +225,11 @@ def fista(
         # x + beta * d, with one temporary fewer.
         x_tilde = d * ((t - 1.0) / t_next)
         x_tilde += x
-        iterations = k
-        if trace is not None:
-            trace.append(data.value(x) + g(x))
         x_prev = x
         t = t_next
-        if rel_tol > 0.0 and math.sqrt(sq) <= rel_tol * (1.0 + math.sqrt(x.dot(x))):
+        # inf <= rel_tol * inf would hold once both squares overflow.
+        if (rel_tol > 0.0 and math.isfinite(sq)
+                and math.sqrt(sq) <= rel_tol * (1.0 + math.sqrt(x.dot(x)))):
             converged = True
             break
-    return SolveReport(
-        solution=x,
-        iterations=iterations,
-        final_objective=data.value(x) + g(x),
-        objective_trace=trace,
-        converged=converged,
-    )
+    return SolveReport(solution=x, iterations=k, converged=converged)

@@ -213,10 +213,12 @@ class TestCommands:
             ({"detectors": [{"kind": "lasso", "rel_tol": None}]},
              "rel_tol must be a JSON number, got None"),
             ({"detectors": {"kind": "lasso"}}, "detectors must be a JSON list"),
+            ({"n_user": 8, "detector": [{"kind": "lasso"}]},
+             "unknown config keys: ['detector', 'n_user']"),
         ],
         ids=["fix_matrix-string", "fix_matrix-int", "trials-float", "n_users-bool",
              "master_seed-string", "max_iters-float", "detector-max_iters-float",
-             "lam-list", "detector-rel_tol-null", "detectors-object"],
+             "lam-list", "detector-rel_tol-null", "detectors-object", "misspelt-keys"],
     )
     def test_config_file_wrong_type_rejected(self, tmp_path, capsys, doc, message):
         path = tmp_path / "exp.json"
@@ -265,14 +267,13 @@ class TestCommands:
         assert "master_seed=13" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_detector_failures_are_logged_to_stderr(self, tmp_path):
+    @pytest.mark.parametrize("entry", [{}, {"rel_tol": 0}], ids=["default-rel_tol", "rel_tol-0"])
+    def test_detector_failures_are_logged_to_stderr(self, tmp_path, entry):
         # In a fresh interpreter: pytest's log capture would replace the
         # last-resort handler that prints the warnings when no logging is set up.
-        # rel_tol 0, because the stopping test would end the overflowing solve
-        # before its iterates turn non-finite and fista raises.
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(
-            {"detectors": [{"kind": "lasso", "lipschitz": 1e-9, "rel_tol": 0}]}
+            {"detectors": [{"kind": "lasso", "lipschitz": 1e-9, **entry}]}
         ))
         proc = _run_python("-W", "ignore::RuntimeWarning", "-m", "soavmud.cli", "simulate",
                            "--config", str(path), "--users", "8", "--meas", "6",

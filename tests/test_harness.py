@@ -374,7 +374,7 @@ class TestTrialError:
         with np.errstate(over="ignore", invalid="ignore"):
             record = run_trial(small_config(detectors=(doomed,)), 10.0, 0)
         assert record.error_counts == {"lasso": None}
-        assert record.converged == {}
+        assert record.solves == {}
 
 
 class TestSolverMetadata:
@@ -392,8 +392,8 @@ class TestSolverMetadata:
         for value in cfg.axis_points:
             records = [run_trial(cfg, value, i) for i in range(cfg.trials)]
             for kind in ("lasso", "map_soav"):
-                iters = [rec.iterations[kind] for rec in records]
-                capped = sum(not rec.converged[kind] for rec in records)
+                iters = [rec.solves[kind][0] for rec in records]
+                capped = sum(not rec.solves[kind][1] for rec in records)
                 expected.append(
                     f"# solver snr_db={value:g} {kind}: mean_iterations="
                     f"{np.mean(iters):.6g} cap_hits={capped}/{cfg.trials}"

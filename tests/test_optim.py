@@ -23,13 +23,13 @@ from soavmud.optim import (
     power_iteration,
     soft_threshold,
 )
-from soavmud.soav import default_offset, prox_vector, soav_penalty, solve_weights
+from soavmud.soav import default_offset, prox_vector, solve_weights
 
 TERNARY = (-1.0, 0.0, 1.0)
 
 
 def make_soav_problem(seed, n=20, m=14, rho=0.8, snr_db=8.0):
-    """Random convex composite instance plus its prox and penalty callables."""
+    """Random convex composite instance plus its prox callable."""
     prior = bpsk_prior(rho)
     rng = np.random.default_rng(seed)
     sigma_w2 = n * (1 - rho) / m * 10.0 ** (-snr_db / 10.0)
@@ -40,10 +40,7 @@ def make_soav_problem(seed, n=20, m=14, rho=0.8, snr_db=8.0):
     def prox(z, gamma):
         return prox_vector(z, gamma, weights)
 
-    def penalty(x):
-        return soav_penalty(x, weights)
-
-    return inst, data, weights, prox, penalty
+    return inst, data, weights, prox
 
 
 class TestGradient:
@@ -157,28 +154,28 @@ class TestFista:
             data,
             prox=lambda z, g: soft_threshold(z, 0.5 * g),
             config=SolverConfig(max_iters=500, rel_tol=1e-12),
-            penalty=lambda x: 0.5 * float(np.abs(x).sum()),
         )
         assert report.solution[0] == pytest.approx(1.5, abs=1e-6)
 
     def test_matches_long_run_unaccelerated_oracle(self):
-        inst, data, weights, prox, penalty = make_soav_problem(seed=100)
+        inst, data, weights, prox = make_soav_problem(seed=100)
         lipschitz = estimate_lipschitz(data)
         config = SolverConfig(lipschitz=lipschitz, max_iters=2000, rel_tol=1e-14)
-        report = fista(data, prox=prox, config=config, penalty=penalty)
+        report = fista(data, prox=prox, config=config)
         oracle_x = soav_prox_gradient_oracle(
             inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY, lipschitz, iters=50_000
         )
-        oracle_f = soav_objective_ref(
-            oracle_x, inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY
+        f, oracle_f = (
+            soav_objective_ref(x, inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY)
+            for x in (report.solution, oracle_x)
         )
-        assert report.final_objective <= oracle_f + 1e-5 * abs(oracle_f)
+        assert f <= oracle_f + 1e-5 * abs(oracle_f)
 
     def test_fixed_point_residual_of_solution(self):
-        _, data, _, prox, penalty = make_soav_problem(seed=101)
+        _, data, _, prox = make_soav_problem(seed=101)
         lipschitz = estimate_lipschitz(data)
         config = SolverConfig(lipschitz=lipschitz, max_iters=3000, rel_tol=1e-14)
-        report = fista(data, prox=prox, config=config, penalty=penalty)
+        report = fista(data, prox=prox, config=config)
         x = report.solution
         step = gradient(data, x) / lipschitz
         residual = np.linalg.norm(x - prox(x - step, 1.0 / lipschitz))
@@ -186,35 +183,33 @@ class TestFista:
 
     def test_momentum_accelerates_objective_decay(self):
         # Objective gap must shrink by much more than the 16x that the
-        # 1/k^2 rate guarantees between iterations 50 and 200.
-        inst, data, weights, prox, penalty = make_soav_problem(seed=102)
+        # 1/k^2 rate guarantees between iterations 50 and 200. FISTA is
+        # deterministic, so a solve capped at k iterations ends at iterate k.
+        inst, data, weights, prox = make_soav_problem(seed=102)
         lipschitz = estimate_lipschitz(data)
-        config = SolverConfig(lipschitz=lipschitz, max_iters=400, rel_tol=0.0,
-                              record_trajectory=True)
-        report = fista(data, prox=prox, config=config, penalty=penalty)
-        oracle_x = soav_prox_gradient_oracle(
+
+        def objective(x):
+            return soav_objective_ref(x, inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY)
+
+        def objective_after(iters):
+            config = SolverConfig(lipschitz=lipschitz, max_iters=iters, rel_tol=0.0)
+            return objective(fista(data, prox=prox, config=config).solution)
+
+        f_star = objective(soav_prox_gradient_oracle(
             inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY, lipschitz, iters=50_000
-        )
-        f_star = soav_objective_ref(
-            oracle_x, inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY
-        )
-        gap_50 = report.objective_trace[49] - f_star
-        gap_200 = report.objective_trace[199] - f_star
+        ))
+        gap_50 = objective_after(50) - f_star
+        gap_200 = objective_after(200) - f_star
         assert gap_200 <= gap_50 / 8.0
 
-    def test_trajectory_records_every_iteration(self):
-        data = QuadraticData(B=np.eye(3), y=np.ones(3), scale=0.5)
-        config = SolverConfig(max_iters=25, rel_tol=0.0, record_trajectory=True)
-        report = fista(data, prox=lambda z, g: z, config=config)
-        assert len(report.objective_trace) == report.iterations == 25
-
-    def test_divergence_detected_for_tiny_lipschitz(self):
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-8])
+    def test_divergence_detected_for_tiny_lipschitz(self, rel_tol):
         from soavmud.optim import DivergenceError
 
         rng = np.random.default_rng(6)
         data = QuadraticData(B=rng.standard_normal((10, 10)), y=rng.standard_normal(10),
                              scale=1.0)
-        config = SolverConfig(lipschitz=1e-6, max_iters=5000, rel_tol=0.0)
+        config = SolverConfig(lipschitz=1e-6, max_iters=5000, rel_tol=rel_tol)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
                 fista(data, prox=lambda z, g: z, config=config)
@@ -233,34 +228,33 @@ class TestFista:
 
 class TestFistaConvergenceFlag:
     def test_converged_when_the_stopping_test_fires(self):
-        _, data, _, prox, penalty = make_soav_problem(seed=8, n=8, m=6)
-        report = fista(data, prox=prox, config=SolverConfig(max_iters=500), penalty=penalty)
+        _, data, _, prox = make_soav_problem(seed=8, n=8, m=6)
+        report = fista(data, prox=prox, config=SolverConfig(max_iters=500))
         assert report.iterations < 500
         assert report.converged
 
     def test_not_converged_when_the_budget_runs_out(self):
-        _, data, _, prox, penalty = make_soav_problem(seed=8, n=8, m=6)
+        _, data, _, prox = make_soav_problem(seed=8, n=8, m=6)
         for config in (SolverConfig(max_iters=5), SolverConfig(max_iters=50, rel_tol=0.0)):
-            report = fista(data, prox=prox, config=config, penalty=penalty)
+            report = fista(data, prox=prox, config=config)
             assert report.iterations == config.max_iters
             assert not report.converged
 
 
 class TestFistaSharedBound:
     def test_given_norm_sq_gives_the_same_bits(self):
-        inst, data, _, prox, penalty = make_soav_problem(seed=9, n=100, m=70)
-        own = fista(data, prox=prox, config=SolverConfig(), penalty=penalty)
-        shared = fista(data, prox=prox, config=SolverConfig(), penalty=penalty,
-                       norm_sq=power_iteration(inst.mix))
+        inst, data, _, prox = make_soav_problem(seed=9, n=100, m=70)
+        own = fista(data, prox=prox, config=SolverConfig())
+        shared = fista(data, prox=prox, config=SolverConfig(), norm_sq=power_iteration(inst.mix))
         np.testing.assert_array_equal(own.solution.view(np.uint64),
                                       shared.solution.view(np.uint64))
         assert own.iterations == shared.iterations
 
     def test_configured_lipschitz_wins_over_norm_sq(self):
-        _, data, _, prox, penalty = make_soav_problem(seed=9)
+        _, data, _, prox = make_soav_problem(seed=9)
         config = SolverConfig(lipschitz=estimate_lipschitz(data), max_iters=50)
-        plain = fista(data, prox=prox, config=config, penalty=penalty)
-        ignored = fista(data, prox=prox, config=config, penalty=penalty, norm_sq=1e-9)
+        plain = fista(data, prox=prox, config=config)
+        ignored = fista(data, prox=prox, config=config, norm_sq=1e-9)
         np.testing.assert_array_equal(plain.solution, ignored.solution)
 
 
@@ -323,42 +317,37 @@ class TestMemoryLayout:
 
 
 class TestFistaMatchesReferenceLoop:
-    """fista returns the reference loop's bits: solution, iterations, objective."""
+    """fista returns the reference loop's bits: solution and iterations."""
 
     @staticmethod
-    def assert_same_solve(data, prox, penalty, config, ref_prox):
+    def assert_same_solve(data, prox, config, ref_prox):
         # config leaves L unset, so fista's own power iteration is compared too.
-        report = fista(data, prox=prox, config=config, penalty=penalty)
-        x, iterations, objective = fista_reference(
-            data.B, data.y, data.scale, ref_prox, penalty,
+        report = fista(data, prox=prox, config=config)
+        x, iterations, _ = fista_reference(
+            data.B, data.y, data.scale, ref_prox, lambda _x: 0.0,
             power_iteration_lipschitz(data.B, data.scale), config.max_iters, config.rel_tol,
         )
         np.testing.assert_array_equal(report.solution.view(np.uint64), x.view(np.uint64))
         assert report.iterations == iterations
-        assert np.float64(report.final_objective).view(np.uint64) == np.float64(
-            objective).view(np.uint64)
         return report
 
     @pytest.mark.parametrize("rho", [0.8, 0.05])
     def test_paper_scale_lasso_and_map_soav(self, rho):
-        inst, data, weights, prox, penalty = make_soav_problem(
+        inst, data, weights, prox = make_soav_problem(
             seed=7, n=100, m=70, rho=rho, snr_db=12.0
         )
         self.assert_same_solve(
-            data, prox, penalty, SolverConfig(),
+            data, prox, SolverConfig(),
             lambda z, g: ternary_prox_cascade(z, g, tuple(weights.q)),
         )
         lasso_data = QuadraticData(B=inst.mix, y=inst.y, scale=30.0)
-        self.assert_same_solve(
-            lasso_data, soft_threshold, lambda x: float(np.abs(x).sum()),
-            SolverConfig(), soft_threshold,
-        )
+        self.assert_same_solve(lasso_data, soft_threshold, SolverConfig(), soft_threshold)
 
     def test_small_system_stops_on_rel_tol(self):
-        _, data, weights, prox, penalty = make_soav_problem(seed=8, n=8, m=6)
+        _, data, weights, prox = make_soav_problem(seed=8, n=8, m=6)
         config = SolverConfig(max_iters=500, rel_tol=1e-8)
         report = self.assert_same_solve(
-            data, prox, penalty, config,
+            data, prox, config,
             lambda z, g: ternary_prox_cascade(z, g, tuple(weights.q)),
         )
         assert report.iterations < config.max_iters
