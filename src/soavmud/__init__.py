@@ -36,7 +36,6 @@ from .harness import (
     TrialError,
     TrialRecord,
     emit_csv,
-    error_ratio,
     run_sweep,
     run_trial,
 )
@@ -57,9 +56,9 @@ from .optim import (
     QuadraticData,
     SolveReport,
     SolverConfig,
-    estimate_lipschitz,
     fista,
     gradient,
+    lipschitz_bound,
     power_iteration,
     soft_threshold,
 )
@@ -69,10 +68,10 @@ from .soav import (
     UnsupportedAlphabetError,
     build_weight_system,
     default_offset,
-    prox_vector,
     soav_objective,
     soav_penalty,
     solve_weights,
+    ternary_prox,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from concurrent.futures import BrokenExecutor
@@ -33,12 +34,12 @@ _ORACLE_DEFAULTS = {
     "trials": 200,
     "detectors": [{"kind": kind} for kind in DETECTOR_KINDS],
 }
-# The JSON type of each config key. Only the two whose default is None may be null.
+# The JSON type of each config key. Only the one whose default is None may be null.
 _EXPERIMENT_TYPES = {"n_users": int, "n_meas": int, "trials": int, "master_seed": int,
                      "parallelism": int, "fix_matrix": bool, "sigma_w2_override": float}
 _DETECTOR_TYPES = {"lam": float, "alpha": float, "offset": float}
-_SOLVER_TYPES = {"max_iters": int, "rel_tol": float, "lipschitz": float}
-_NULLABLE = ("sigma_w2_override", "lipschitz")
+_SOLVER_TYPES = {"max_iters": int, "rel_tol": float}
+_NULLABLE = ("sigma_w2_override",)
 # Detector fields that the file's top level and the flags set for every detector.
 _SHARED = ("lam", "alpha", "offset", "max_iters", "rel_tol")
 
@@ -50,7 +51,11 @@ def parse_axis(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("range spec must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        bounds = [float(p) for p in parts]
+        # A NaN or infinite bound would never end the loop below.
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("range spec must be finite")
+        start, stop, step = bounds
         if step <= 0:
             raise ValueError("range step must be positive")
         values = []

@@ -14,8 +14,15 @@ from typing import Optional
 import numpy as np
 
 from .model import SymbolPrior, SystemInstance
-from .optim import QuadraticData, SolveReport, SolverConfig, fista, soft_threshold
-from .soav import UnsupportedAlphabetError, default_offset, prox_vector, solve_weights
+from .optim import (
+    QuadraticData,
+    SolveReport,
+    SolverConfig,
+    fista,
+    lipschitz_bound,
+    soft_threshold,
+)
+from .soav import default_offset, solve_weights, ternary_prox
 
 __all__ = [
     "DETECTOR_KINDS",
@@ -106,15 +113,14 @@ def lmmse(
     return DetectionResult(raw=raw, decided=threshold_map(raw, alpha))
 
 
-def _solve(instance, data, prox, config: DetectorConfig) -> DetectionResult:
-    """Run fista on ``data`` and quantize its solution.
+def _solve(instance, data, prox_at, config: DetectorConfig) -> DetectionResult:
+    """Run fista on ``data`` with the prox ``prox_at(gamma)`` and quantize its solution.
 
-    Unless the config fixes L, the step comes from the instance's cached
-    spectral bound, so lasso and map_soav on one instance share one power
-    iteration.
+    The step gamma = 1/L comes from the instance's cached spectral bound, so
+    lasso and map_soav on one instance share one power iteration.
     """
-    norm_sq = instance.mix_norm_sq if config.solver.lipschitz is None else None
-    report = fista(data, prox=prox, config=config.solver, norm_sq=norm_sq)
+    L = lipschitz_bound(data.scale, instance.mix_norm_sq)
+    report = fista(data, prox_at(1.0 / L), config.solver, lipschitz=L)
     return DetectionResult(
         raw=report.solution,
         decided=threshold_map(report.solution, config.alpha),
@@ -125,7 +131,11 @@ def _solve(instance, data, prox, config: DetectorConfig) -> DetectionResult:
 def lasso(instance: SystemInstance, config: DetectorConfig) -> DetectionResult:
     """Solve min_x lam * ||y - S A x||^2 + ||x||_1 and quantize."""
     data = QuadraticData(B=instance.mix, y=instance.y, scale=config.lam)
-    return _solve(instance, data, soft_threshold, config)
+
+    def prox_at(gamma):
+        return lambda z: soft_threshold(z, gamma)
+
+    return _solve(instance, data, prox_at, config)
 
 
 def map_soav(
@@ -136,21 +146,14 @@ def map_soav(
     Calibrates the penalty weights from the prior, then minimizes
     ||y - S A x||^2 / (2 sigma_w2) + sum_l q_l ||x - r_l 1||_1 by accelerated
     proximal gradient with the closed-form ternary prox, and quantizes the
-    result.
+    result. A non-ternary prior raises ``UnsupportedAlphabetError`` from
+    ``ternary_prox`` before the solve starts.
     """
     weights = solve_weights(prior, default_offset(prior, config.offset))
-    if not weights.ternary:
-        raise UnsupportedAlphabetError(
-            "map_soav supports the ternary alphabet (-1, 0, 1) only"
-        )
     data = QuadraticData(
         B=instance.mix, y=instance.y, scale=1.0 / (2.0 * instance.sigma_w2)
     )
-
-    def prox(z, gamma):
-        return prox_vector(z, gamma, weights)
-
-    return _solve(instance, data, prox, config)
+    return _solve(instance, data, lambda gamma: ternary_prox(gamma, weights), config)
 
 
 def map_lattice_objective(x, instance: SystemInstance, prior: SymbolPrior) -> float:

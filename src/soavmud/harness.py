@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import logging
 import math
 import multiprocessing
@@ -30,7 +31,6 @@ __all__ = [
     "TrialError",
     "TrialRecord",
     "SweepResult",
-    "error_ratio",
     "run_trial",
     "run_sweep",
     "emit_csv",
@@ -208,15 +208,6 @@ class SweepResult:
     # A solver kind with no successful solve at this point has no entry.
 
 
-def error_ratio(decided, truth) -> float:
-    """Fraction of symbol positions decided incorrectly."""
-    decided = np.asarray(decided)
-    truth = np.asarray(truth)
-    if decided.shape != truth.shape:
-        raise ValueError("decided and truth must have equal length")
-    return float(np.count_nonzero(decided != truth)) / decided.size
-
-
 def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> TrialRecord:
     """Run every configured detector on one shared realization.
 
@@ -224,54 +215,45 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
     any other exception is raised as a ``TrialError`` naming this trial.
     """
     try:
-        return _run_trial(config, axis_value, trial_index)
+        rho = config.rho_at(axis_value)
+        sigma_w2 = config.sigma_at(axis_value)
+        prior = bpsk_prior(rho)
+        rng = substream(config.master_seed, float(axis_value), trial_index)
+        if config.fix_matrix:
+            S = gaussian_matrix(
+                config.n_meas, config.n_users, substream(config.master_seed, _MATRIX_STREAM_KEY)
+            )
+        else:
+            S = gaussian_matrix(config.n_meas, config.n_users, rng)
+        instance = synthesize(prior, S, np.ones(config.n_users), sigma_w2, rng)
+        counts, reasons, solves = {}, {}, {}
+        for det in config.detectors:
+            try:
+                result = run_detector(instance, prior, det)
+            except _RECOVERABLE as exc:
+                counts[det.kind] = None
+                reasons[det.kind] = f"{type(exc).__name__}: {exc}"
+                logger.warning(
+                    "trial %d at %s=%s: detector %s failed (%s)",
+                    trial_index, config.axis, axis_value, det.kind, exc,
+                )
+                continue
+            counts[det.kind] = int(np.count_nonzero(result.decided != instance.b))
+            report = result.diagnostics
+            if report is not None:
+                solves[det.kind] = (report.iterations, report.converged)
+        return TrialRecord(
+            trial_index=trial_index,
+            axis_value=float(axis_value),
+            error_counts=counts,
+            failure_reasons=reasons,
+            solves=solves,
+        )
     except Exception as exc:
         raise TrialError(
             config.master_seed, config.axis, float(axis_value), trial_index,
             f"{type(exc).__name__}: {exc}",
         ) from exc
-
-
-def _run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> TrialRecord:
-    rho = config.rho_at(axis_value)
-    sigma_w2 = config.sigma_at(axis_value)
-    prior = bpsk_prior(rho)
-    rng = substream(config.master_seed, float(axis_value), trial_index)
-    if config.fix_matrix:
-        S = gaussian_matrix(
-            config.n_meas, config.n_users, substream(config.master_seed, _MATRIX_STREAM_KEY)
-        )
-    else:
-        S = gaussian_matrix(config.n_meas, config.n_users, rng)
-    instance = synthesize(prior, S, np.ones(config.n_users), sigma_w2, rng)
-    counts, reasons, solves = {}, {}, {}
-    for det in config.detectors:
-        try:
-            result = run_detector(instance, prior, det)
-        except _RECOVERABLE as exc:
-            counts[det.kind] = None
-            reasons[det.kind] = f"{type(exc).__name__}: {exc}"
-            logger.warning(
-                "trial %d at %s=%s: detector %s failed (%s)",
-                trial_index, config.axis, axis_value, det.kind, exc,
-            )
-            continue
-        counts[det.kind] = int(np.count_nonzero(result.decided != instance.b))
-        report = result.diagnostics
-        if report is not None:
-            solves[det.kind] = (report.iterations, report.converged)
-    return TrialRecord(
-        trial_index=trial_index,
-        axis_value=float(axis_value),
-        error_counts=counts,
-        failure_reasons=reasons,
-        solves=solves,
-    )
-
-
-def _trial_task(args) -> TrialRecord:
-    config, axis_value, trial_index = args
-    return run_trial(config, axis_value, trial_index)
 
 
 def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepResult:
@@ -367,29 +349,27 @@ def run_sweep(config: ExperimentConfig) -> list:
     raises ``BrokenProcessPool`` naming the sweep's master seed. A trial that
     raises, serially or in a worker, raises ``TrialError`` naming the trial.
     """
-    tasks = [
-        (config, axis_value, index)
-        for axis_value in config.axis_points
-        for index in range(config.trials)
-    ]
+    values = [value for value in config.axis_points for _ in range(config.trials)]
+    indices = [index for _ in config.axis_points for index in range(config.trials)]
     if config.parallelism > 1:
         # Imported here, because importing it costs every serial run ~7 ms of start-up.
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        chunk = max(1, len(tasks) // (4 * config.parallelism))
+        chunk = max(1, len(values) // (4 * config.parallelism))
         # fork, not spawn: a spawned worker re-imports numpy, which costs more
         # than the trials of a short sweep, and would not inherit the limit.
         fork = multiprocessing.get_context("fork")
         try:
             with _one_blas_thread(), ProcessPoolExecutor(config.parallelism, fork) as pool:
-                records = list(pool.map(_trial_task, tasks, chunksize=chunk))
+                records = list(pool.map(run_trial, itertools.repeat(config), values, indices,
+                                        chunksize=chunk))
         except BrokenProcessPool as exc:
             raise BrokenProcessPool(
                 f"a worker process died during the sweep with master_seed"
                 f"={config.master_seed}; no results were kept"
             ) from exc
     else:
-        records = [_trial_task(task) for task in tasks]
+        records = [run_trial(config, value, index) for value, index in zip(values, indices)]
     results = []
     for i, axis_value in enumerate(config.axis_points):
         block = records[i * config.trials : (i + 1) * config.trials]

@@ -2,15 +2,16 @@
 
 f is the quadratic data term scale * ||y - B x||^2 and g is whatever penalty
 the supplied prox encodes. The gradient step uses a fixed 1/L step size, so
-the solver needs an upper bound L on the Lipschitz constant of grad f, which
-``estimate_lipschitz`` obtains by power iteration.
+the caller supplies an upper bound L on the Lipschitz constant of grad f:
+``lipschitz_bound`` forms it from ``power_iteration(B)``, and the prox it
+passes is that of g at the matching step gamma = 1/L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +23,7 @@ __all__ = [
     "DivergenceError",
     "gradient",
     "power_iteration",
-    "estimate_lipschitz",
+    "lipschitz_bound",
     "fista",
     "soft_threshold",
 ]
@@ -66,19 +67,12 @@ class QuadraticData:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and stopping control for the proximal solver.
+    """Iteration budget and stopping control for the proximal solver."""
 
-    ``lipschitz=None`` asks the solver to bound the gradient itself via
-    power iteration; an explicit positive value skips that step.
-    """
-
-    lipschitz: Optional[float] = None
     max_iters: int = 500
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.lipschitz is not None and not 0.0 < self.lipschitz < math.inf:
-            raise ValueError("lipschitz must be positive and finite when given")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not 0.0 <= self.rel_tol < math.inf:
@@ -138,21 +132,15 @@ def power_iteration(B, rel_tol: float = 1e-6, max_iters: int = 1000) -> float:
     return top
 
 
-def _lipschitz_bound(scale: float, norm_sq: float) -> float:
-    """1.01 * 2 * scale * sigma_max(B)^2, multiplied in this order."""
-    return _LIPSCHITZ_SAFETY * 2.0 * scale * norm_sq
+def lipschitz_bound(scale: float, norm_sq: float) -> float:
+    """Upper bound L on the gradient Lipschitz constant 2 * scale * sigma_max(B)^2.
 
-
-def estimate_lipschitz(
-    data: QuadraticData, rel_tol: float = 1e-6, max_iters: int = 1000
-) -> float:
-    """Upper bound on the gradient Lipschitz constant 2 * scale * sigma_max(B)^2.
-
-    Power iteration on B^T B with a deterministic start vector; the result
-    carries a 1.01 safety factor so a slight underestimate of the spectral
-    norm cannot break the step-size condition.
+    ``norm_sq`` is ``power_iteration(B)``. The 1.01 safety factor keeps a
+    slight underestimate of the spectral norm from breaking the step-size
+    condition; the product is formed as 1.01 * 2 * scale * norm_sq, in this
+    order.
     """
-    return _lipschitz_bound(data.scale, power_iteration(data.B, rel_tol, max_iters))
+    return _LIPSCHITZ_SAFETY * 2.0 * scale * norm_sq
 
 
 def soft_threshold(v, gamma: float):
@@ -164,20 +152,19 @@ def soft_threshold(v, gamma: float):
 
 def fista(
     data: QuadraticData,
-    prox: Callable[[np.ndarray, float], np.ndarray],
+    prox: Callable[[np.ndarray], np.ndarray],
     config: SolverConfig,
-    norm_sq: Optional[float] = None,
+    lipschitz: float,
 ) -> SolveReport:
     """Accelerated proximal-gradient minimization of f(x) + g(x).
 
     Args:
         data: quadratic term f(x) = scale * ||y - B x||^2.
-        prox: callable (z, gamma) -> prox of gamma * g at z, applied with
-            the fixed step gamma = 1/L.
-        config: iteration budget, stopping tolerance, optional L.
-        norm_sq: ``power_iteration(data.B)``, when the caller already has
-            it; L is then formed from it exactly as ``estimate_lipschitz``
-            would. Ignored when ``config.lipschitz`` is set.
+        prox: callable z -> prox of gamma * g at z, for the fixed step
+            gamma = 1 / lipschitz.
+        config: iteration budget and stopping tolerance.
+        lipschitz: the bound L on the Lipschitz constant of grad f, e.g.
+            ``lipschitz_bound(data.scale, power_iteration(data.B))``.
 
     Starts from x = 0 with unit momentum weight; each step takes a gradient
     step at the extrapolation point, applies the prox, then extrapolates for
@@ -186,13 +173,7 @@ def fista(
     the full budget is always run. A step whose square overflows never stops
     the solve.
     """
-    if config.lipschitz is not None:
-        L = config.lipschitz
-    else:
-        if norm_sq is None:
-            norm_sq = power_iteration(data.B)
-        L = _lipschitz_bound(data.scale, norm_sq)
-    gamma = 1.0 / L
+    gamma = 1.0 / lipschitz
     two_scale = 2.0 * data.scale
     rel_tol = config.rel_tol
     B, y = data.B, data.y
@@ -212,7 +193,7 @@ def fista(
         step = rmatvec(r)
         step *= two_scale
         step *= gamma
-        x = prox(x_tilde - step, gamma)
+        x = prox(x_tilde - step)
         d = x - x_prev
         # dot() is what np.linalg.norm computes for a vector; the squared step
         # of a non-finite iterate is never finite, but a finite one can overflow.

@@ -9,7 +9,6 @@ is convex whenever all q_l come out nonnegative.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ __all__ = [
     "solve_weights",
     "soav_penalty",
     "soav_objective",
-    "prox_vector",
+    "ternary_prox",
 ]
 
 _RESIDUAL_TOL = 1e-9
@@ -133,17 +132,24 @@ def soav_objective(x, instance: SystemInstance, weights: SoavWeights) -> float:
     return data + soav_penalty(x, weights)
 
 
-# SoavWeights hashes by identity, so the one entry is the (gamma, weights) of
-# the solve in progress and its 500 prox calls build the tables once.
-@functools.lru_cache(maxsize=1)
-def _ternary_tables(gamma: float, weights: SoavWeights):
-    """(edges, const) of the ternary prox of gamma * g, see prox_vector.
+def ternary_prox(gamma: float, weights: SoavWeights):
+    """The closed-form ternary prox of gamma * g, as a map v -> prox, elementwise.
 
-    ``edges`` is the running maximum of the six breakpoints: a breakpoint
-    below an earlier one can never be the first above v. ``const`` is -s on
-    the shift branches and the constant on the others. Both are read-only,
-    as the cache hands them out again.
+    Seven branches separated by six breakpoints, alternately a shift v - s
+    (slope 1) and a constant (slope 0). Branch i serves v below breakpoint i
+    and the first matching branch wins, so the map stays well defined even
+    when negative weights make some intervals empty. One sorted search over
+    the running maximum of the breakpoints finds that first branch: a
+    breakpoint below an earlier one can never be the first above v. NaN
+    sorts past every breakpoint and lands on the last branch.
+
+    The inputs are checked and the tables built here, once, so a solver that
+    applies the prox at one fixed step pays for them once per solve.
     """
+    if not weights.ternary:
+        raise UnsupportedAlphabetError("closed-form prox requires alphabet (-1, 0, 1)")
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
     q0, q1, q2 = weights.q.tolist()
     lo = gamma * (-q0 - q1 - q2)
     inner_lo = gamma * (q0 - q1 - q2)
@@ -152,32 +158,14 @@ def _ternary_tables(gamma: float, weights: SoavWeights):
     edges = np.maximum.accumulate(
         [-1.0 + lo, -1.0 + inner_lo, inner_lo, inner_hi, 1.0 + inner_hi, 1.0 + hi]
     )
+    # -s on the shift branches, the constant on the others.
     const = np.array([-lo, -1.0, -inner_lo, 0.0, -inner_hi, 1.0, -hi])
-    edges.setflags(write=False)
-    const.setflags(write=False)
-    return edges, const
 
+    def prox(values) -> np.ndarray:
+        v = np.asarray(values, dtype=float)
+        idx = edges.searchsorted(v, side="right")
+        # v * 1 + (-s) is v - s exactly, and v * 0 + c is c for finite v; an
+        # infinite v only reaches the two outer branches, which have slope 1.
+        return v * _SLOPE[idx] + const[idx]
 
-def prox_vector(values, gamma: float, weights: SoavWeights) -> np.ndarray:
-    """Closed-form ternary prox of gamma * g, applied elementwise.
-
-    Seven branches separated by six breakpoints, alternately a shift v - s
-    (slope 1) and a constant (slope 0). Branch i serves v below breakpoint i
-    and the first matching branch wins, so the map stays well defined even
-    when negative weights make some intervals empty. One sorted search over
-    the running maximum of the breakpoints finds that first branch. NaN
-    sorts past every breakpoint and lands on the last branch.
-
-    The tables come from ``_ternary_tables``, which keeps the last ones, so
-    a solver that calls this with one fixed step builds them once.
-    """
-    if not weights.ternary:
-        raise UnsupportedAlphabetError("closed-form prox requires alphabet (-1, 0, 1)")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    v = np.asarray(values, dtype=float)
-    edges, const = _ternary_tables(gamma, weights)
-    idx = edges.searchsorted(v, side="right")
-    # v * 1 + (-s) is v - s exactly, and v * 0 + c is c for finite v; an
-    # infinite v only reaches the two outer branches, which have slope 1.
-    return v * _SLOPE[idx] + const[idx]
+    return prox

@@ -16,13 +16,15 @@ from oracles import (
 from soavmud.detectors import DetectorConfig
 from soavmud.harness import ExperimentConfig, emit_csv, run_sweep
 from soavmud.model import bpsk_prior, gaussian_matrix, synthesize
-from soavmud.optim import QuadraticData, SolverConfig, estimate_lipschitz, fista, gradient
-from soavmud.soav import (
-    SoavWeights,
-    default_offset,
-    prox_vector,
-    solve_weights,
+from soavmud.optim import (
+    QuadraticData,
+    SolverConfig,
+    fista,
+    gradient,
+    lipschitz_bound,
+    power_iteration,
 )
+from soavmud.soav import SoavWeights, default_offset, solve_weights, ternary_prox
 
 TERNARY = (-1.0, 0.0, 1.0)
 MASTER_SEED = 42
@@ -66,7 +68,7 @@ def test_criterion_2_prox_oracle_equivalence():
         q = rng.uniform(0.0, 10.0, size=3)
         v = float(rng.uniform(-3.0, 3.0))
         weights = SoavWeights(q=q, c=0.0, alphabet=TERNARY)
-        got = prox_vector([v], gamma, weights)[0]
+        got = ternary_prox(gamma, weights)([v])[0]
         oracle = prox_1d_exhaustive(v, gamma, q, TERNARY)
         worst = max(worst, abs(got - oracle))
     report(2, "prox oracle equivalence", worst < 1e-9,
@@ -83,15 +85,11 @@ def test_criterion_3_solver_correctness():
         inst = synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20),
                           sigma_w2, rng)
         data = QuadraticData(B=inst.mix, y=inst.y, scale=1.0 / (2.0 * sigma_w2))
-        L = estimate_lipschitz(data)
-
-        def prox(z, gamma):
-            return prox_vector(z, gamma, weights)
-
+        L = lipschitz_bound(data.scale, power_iteration(data.B))
+        prox = ternary_prox(1.0 / L, weights)
         # FISTA is deterministic, so a solve capped at k iterations ends at iterate k.
         solutions = [
-            fista(data, prox=prox,
-                  config=SolverConfig(lipschitz=L, max_iters=k, rel_tol=0.0)).solution
+            fista(data, prox, SolverConfig(max_iters=k, rel_tol=0.0), lipschitz=L).solution
             for k in (50, 200, 2000)
         ]
         instances.append(inst)
@@ -116,7 +114,7 @@ def test_criterion_3_solver_correctness():
         worst_ratio = max(worst_ratio, gap_200 / gap_50)
         x = solutions[-1]
         residual = np.linalg.norm(
-            x - prox(x - gradient(data, x) / L, 1.0 / L)
+            x - prox(x - gradient(data, x) / L)
         ) / (1.0 + np.linalg.norm(x))
         worst_residual = max(worst_residual, residual)
     ok = worst_rel <= 1e-5 and worst_residual <= 1e-6 and worst_ratio <= 1.0 / 8.0

@@ -1,0 +1,31 @@
+"""Golden outputs: two paper-scale CLI sweeps must reproduce committed CSVs byte for byte.
+
+Every solve at N = 100, M = 70 runs to the 500-iteration cap, so the CSVs,
+`# solver` lines included, do not depend on where an early stop falls; on
+small systems that can move with the BLAS kernel of the CPU.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from soavmud.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+PAPER_SCALE = ["--users", "100", "--meas", "70", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("simulate.csv", ["simulate", "--rho", "0.8", "--snr", "12,16",
+                          "--detectors", "lmmse,lasso,map-soav", "--trials", "2"]),
+        ("sweep_rho.csv", ["sweep-rho", "--sigma2", "0.0226", "--rho", "0.05,0.3",
+                           "--detectors", "lasso,map-soav", "--trials", "3"]),
+    ],
+    ids=["simulate", "sweep-rho"],
+)
+def test_cli_csv_matches_golden(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(argv + PAPER_SCALE + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

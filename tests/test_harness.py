@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo engine, aggregation, and CSV emission."""
 
 import io
+import itertools
 import logging
 import os
 
@@ -8,18 +9,17 @@ import numpy as np
 import pytest
 
 from oracles import power_iteration_lipschitz
-from soavmud import harness, model, optim
+from soavmud import detectors, harness, model, optim
 from soavmud.detectors import DetectorConfig, run_detector
 from soavmud.harness import (
     ExperimentConfig,
     TrialError,
     emit_csv,
-    error_ratio,
     run_sweep,
     run_trial,
 )
 from soavmud.model import bpsk_prior, substream, synthesize
-from soavmud.optim import QuadraticData, SolverConfig, estimate_lipschitz
+from soavmud.optim import SolverConfig, lipschitz_bound, power_iteration
 from soavmud.soav import default_offset, solve_weights
 
 
@@ -33,6 +33,12 @@ def capture_instances(monkeypatch):
 
     monkeypatch.setattr(harness, "synthesize", recording)
     return made
+
+
+def tiny_spectral_bound(monkeypatch):
+    """Make every instance's spectral bound 1e-9, so each solve's step is far
+    too long and its iterates diverge."""
+    monkeypatch.setattr(model, "power_iteration", lambda B: 1e-9)
 
 
 def small_config(**overrides):
@@ -51,25 +57,6 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestErrorRatio:
-    def test_perfect_agreement(self):
-        assert error_ratio([1, 0, -1], [1, 0, -1]) == 0.0
-
-    def test_single_mismatch_among_hundred(self):
-        truth = np.zeros(100)
-        decided = truth.copy()
-        decided[17] = 1.0
-        assert error_ratio(decided, truth) == 0.01
-
-    def test_total_disagreement(self):
-        truth = np.array([1.0, -1.0, 1.0, 1.0])
-        assert error_ratio(-truth, truth) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            error_ratio([1, 0], [1, 0, -1])
 
 
 class TestExperimentConfig:
@@ -108,9 +95,8 @@ class TestExperimentConfig:
             lambda v: DetectorConfig(kind="lasso", lam=v),
             lambda v: DetectorConfig(kind="map_soav", offset=v),
             lambda v: SolverConfig(rel_tol=v),
-            lambda v: SolverConfig(lipschitz=v),
         ],
-        ids=["snr_db", "sigma_w2_override", "lam", "offset", "rel_tol", "lipschitz"],
+        ids=["snr_db", "sigma_w2_override", "lam", "offset", "rel_tol"],
     )
     def test_non_finite_value_rejected(self, build):
         for value in (float("nan"), float("inf")):
@@ -172,14 +158,14 @@ class TestRunTrial:
 
         monkeypatch.setattr(model, "power_iteration", counting_power)
         monkeypatch.setattr(optim, "power_iteration", counting_power)
-        bounds = []  # (scale, L) for every L that fista forms
-        real_bound = optim._lipschitz_bound
+        bounds = []  # (scale, L) for every L that a detector forms
+        real_bound = detectors.lipschitz_bound
 
         def recording_bound(scale, norm_sq):
             bounds.append((scale, real_bound(scale, norm_sq)))
             return bounds[-1][1]
 
-        monkeypatch.setattr(optim, "_lipschitz_bound", recording_bound)
+        monkeypatch.setattr(detectors, "lipschitz_bound", recording_bound)
         cfg = ExperimentConfig(
             n_users=100, n_meas=70, trials=1, rho=0.8, snr_db=12.0, master_seed=9,
             detectors=(DetectorConfig(kind="lasso"), DetectorConfig(kind="map_soav")),
@@ -189,8 +175,8 @@ class TestRunTrial:
         assert len(power_calls) == 1
         scales = [30.0, 1.0 / (2.0 * inst.sigma_w2)]
         assert [scale for scale, _ in bounds] == scales
-        for scale, L in list(bounds):  # estimate_lipschitz below records too
-            expected = estimate_lipschitz(QuadraticData(inst.mix, inst.y, scale))
+        for scale, L in bounds:
+            expected = lipschitz_bound(scale, power_iteration(inst.mix))
             oracle = power_iteration_lipschitz(inst.mix, scale)
             assert np.float64(L).view(np.uint64) == np.float64(expected).view(np.uint64)
             assert np.float64(L).view(np.uint64) == np.float64(oracle).view(np.uint64)
@@ -266,14 +252,17 @@ class TestRunSweep:
         if functions is None:
             pytest.skip("numpy's BLAS exposes no known thread-count symbol")
         set_threads, get_threads = functions
-        real_run_trial = harness.run_trial
+        real_synthesize = harness.synthesize
+        counter = itertools.count()
 
-        def reporting(config, axis_value, trial_index):
-            report = tmp_path / f"{os.getpid()}-{axis_value}-{trial_index}"
+        # The pool pickles run_trial by name, so a stand-in for it must be
+        # importable; synthesize, which each trial calls once, need not be.
+        def reporting(*args, **kwargs):
+            report = tmp_path / f"{os.getpid()}-{next(counter)}"
             report.write_text(str(get_threads()))
-            return real_run_trial(config, axis_value, trial_index)
+            return real_synthesize(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_trial", reporting)
+        monkeypatch.setattr(harness, "synthesize", reporting)
         original = get_threads()
         set_threads(2)
         try:
@@ -302,14 +291,13 @@ class TestRunSweep:
         results = run_sweep(small_config())
         assert [r.axis_value for r in results] == [10.0, 14.0]
 
-    def test_failed_detector_logged_excluded_and_counted(self, caplog):
+    def test_failed_detector_logged_excluded_and_counted(self, caplog, monkeypatch):
         # An absurdly small Lipschitz bound makes the solver diverge on
         # every trial; the sweep must survive, log it, and keep the mean of
         # the healthy detector untouched.
+        tiny_spectral_bound(monkeypatch)
         doomed = DetectorConfig(
-            kind="map_soav",
-            solver=SolverConfig(lipschitz=1e-9, max_iters=200, rel_tol=0.0),
-        )
+            kind="map_soav", solver=SolverConfig(max_iters=200, rel_tol=0.0))
         cfg = small_config(
             trials=3, snr_db=10.0,
             detectors=(DetectorConfig(kind="lmmse"), doomed),
@@ -368,9 +356,9 @@ class TestTrialError:
         with pytest.raises(TrialError, match="trial 5 at snr_db=14.0"):
             run_trial(cfg, 14.0, 5)
 
-    def test_recoverable_failures_are_not_trial_errors(self):
-        doomed = DetectorConfig(
-            kind="lasso", solver=SolverConfig(lipschitz=1e-9, max_iters=50, rel_tol=0.0))
+    def test_recoverable_failures_are_not_trial_errors(self, monkeypatch):
+        tiny_spectral_bound(monkeypatch)
+        doomed = DetectorConfig(kind="lasso", solver=SolverConfig(max_iters=50, rel_tol=0.0))
         with np.errstate(over="ignore", invalid="ignore"):
             record = run_trial(small_config(detectors=(doomed,)), 10.0, 0)
         assert record.error_counts == {"lasso": None}
@@ -411,9 +399,9 @@ class TestSolverMetadata:
         assert self.solver_lines(cfg) == [
             "# solver snr_db=10 lasso: mean_iterations=40 cap_hits=3/3"]
 
-    def test_failed_solves_are_left_out(self):
-        doomed = DetectorConfig(
-            kind="map_soav", solver=SolverConfig(lipschitz=1e-9, max_iters=50, rel_tol=0.0))
+    def test_failed_solves_are_left_out(self, monkeypatch):
+        tiny_spectral_bound(monkeypatch)
+        doomed = DetectorConfig(kind="map_soav", solver=SolverConfig(max_iters=50, rel_tol=0.0))
         cfg = small_config(trials=2, snr_db=10.0, detectors=(doomed,))
         with np.errstate(over="ignore", invalid="ignore"):
             lines = self.solver_lines(cfg)

@@ -17,30 +17,49 @@ from soavmud.optim import (
     DegenerateOperatorError,
     QuadraticData,
     SolverConfig,
-    estimate_lipschitz,
     fista,
     gradient,
+    lipschitz_bound,
     power_iteration,
     soft_threshold,
 )
-from soavmud.soav import default_offset, prox_vector, solve_weights
+from soavmud.soav import default_offset, solve_weights, ternary_prox
 
 TERNARY = (-1.0, 0.0, 1.0)
 
 
 def make_soav_problem(seed, n=20, m=14, rho=0.8, snr_db=8.0):
-    """Random convex composite instance plus its prox callable."""
+    """Random convex composite instance plus its prox, as gamma -> (z -> prox)."""
     prior = bpsk_prior(rho)
     rng = np.random.default_rng(seed)
     sigma_w2 = n * (1 - rho) / m * 10.0 ** (-snr_db / 10.0)
     inst = synthesize(prior, gaussian_matrix(m, n, rng), np.ones(n), sigma_w2, rng)
     weights = solve_weights(prior, default_offset(prior))
     data = QuadraticData(B=inst.mix, y=inst.y, scale=1.0 / (2.0 * sigma_w2))
+    return inst, data, weights, lambda gamma: ternary_prox(gamma, weights)
 
-    def prox(z, gamma):
-        return prox_vector(z, gamma, weights)
 
-    return inst, data, weights, prox
+def spectral_lipschitz(data):
+    """The bound L the detectors use: formed from the power iteration of B."""
+    return lipschitz_bound(data.scale, power_iteration(data.B))
+
+
+def solve(data, prox_at, config, lipschitz=None):
+    """fista at the step 1/L with the prox ``prox_at(1/L)``, as the detectors run it.
+
+    L defaults to ``spectral_lipschitz(data)``.
+    """
+    if lipschitz is None:
+        lipschitz = spectral_lipschitz(data)
+    return fista(data, prox_at(1.0 / lipschitz), config, lipschitz)
+
+
+def identity(z):
+    return z
+
+
+def soft_threshold_at(gamma):
+    return lambda z: soft_threshold(z, gamma)
 
 
 class TestGradient:
@@ -85,24 +104,24 @@ class TestGradient:
 class TestEstimateLipschitz:
     def test_identity_operator(self):
         data = QuadraticData(B=np.eye(6), y=np.zeros(6), scale=0.5)
-        assert estimate_lipschitz(data) == pytest.approx(1.01, rel=1e-6)
+        assert spectral_lipschitz(data) == pytest.approx(1.01, rel=1e-6)
 
     def test_diagonal_spectrum(self):
         data = QuadraticData(B=np.diag([3.0, 1.0]), y=np.zeros(2), scale=0.5)
-        assert estimate_lipschitz(data) == pytest.approx(9.09, rel=1e-6)
+        assert spectral_lipschitz(data) == pytest.approx(9.09, rel=1e-6)
 
     def test_random_wide_matrix_against_svd(self):
         rng = np.random.default_rng(9)
         B = rng.standard_normal((70, 100))
         data = QuadraticData(B=B, y=np.zeros(70), scale=0.25)
         exact = 2.0 * 0.25 * np.linalg.svd(B, compute_uv=False)[0] ** 2
-        estimate = estimate_lipschitz(data)
+        estimate = spectral_lipschitz(data)
         assert exact <= estimate <= 1.011 * exact
 
     def test_zero_operator_rejected(self):
         data = QuadraticData(B=np.zeros((3, 3)), y=np.zeros(3), scale=1.0)
         with pytest.raises(DegenerateOperatorError):
-            estimate_lipschitz(data)
+            spectral_lipschitz(data)
 
     @pytest.mark.parametrize("scale", [30.0, 0.25, 1.0 / (2.0 * 0.0226)])
     def test_oracle_bits_from_the_shared_power_iteration(self, scale):
@@ -111,7 +130,7 @@ class TestEstimateLipschitz:
         B = np.random.default_rng(21).standard_normal((70, 100))
         data = QuadraticData(B=B, y=np.zeros(70), scale=scale)
         expected = power_iteration_lipschitz(B, scale)
-        assert np.float64(estimate_lipschitz(data)).view(np.uint64) == np.float64(
+        assert np.float64(spectral_lipschitz(data)).view(np.uint64) == np.float64(
             expected).view(np.uint64)
         assert power_iteration(B) == power_iteration(B.copy())
 
@@ -142,26 +161,24 @@ class TestFista:
         rng = np.random.default_rng(12)
         y = rng.standard_normal(8)
         data = QuadraticData(B=np.eye(8), y=y, scale=0.5)
-        report = fista(data, prox=lambda z, g: z,
-                       config=SolverConfig(max_iters=200, rel_tol=0.0))
+        report = solve(data, lambda g: identity, SolverConfig(max_iters=200, rel_tol=0.0))
         assert report.iterations <= 200
         np.testing.assert_allclose(report.solution, y, atol=1e-8)
 
     def test_scalar_lasso_soft_threshold_solution(self):
         # min 0.5 (2 - x)^2 + 0.5 |x| has the closed-form solution 1.5.
         data = QuadraticData(B=np.eye(1), y=np.array([2.0]), scale=0.5)
-        report = fista(
+        report = solve(
             data,
-            prox=lambda z, g: soft_threshold(z, 0.5 * g),
-            config=SolverConfig(max_iters=500, rel_tol=1e-12),
+            lambda g: lambda z: soft_threshold(z, 0.5 * g),
+            SolverConfig(max_iters=500, rel_tol=1e-12),
         )
         assert report.solution[0] == pytest.approx(1.5, abs=1e-6)
 
     def test_matches_long_run_unaccelerated_oracle(self):
-        inst, data, weights, prox = make_soav_problem(seed=100)
-        lipschitz = estimate_lipschitz(data)
-        config = SolverConfig(lipschitz=lipschitz, max_iters=2000, rel_tol=1e-14)
-        report = fista(data, prox=prox, config=config)
+        inst, data, weights, prox_at = make_soav_problem(seed=100)
+        lipschitz = spectral_lipschitz(data)
+        report = solve(data, prox_at, SolverConfig(max_iters=2000, rel_tol=1e-14), lipschitz)
         oracle_x = soav_prox_gradient_oracle(
             inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY, lipschitz, iters=50_000
         )
@@ -172,28 +189,27 @@ class TestFista:
         assert f <= oracle_f + 1e-5 * abs(oracle_f)
 
     def test_fixed_point_residual_of_solution(self):
-        _, data, _, prox = make_soav_problem(seed=101)
-        lipschitz = estimate_lipschitz(data)
-        config = SolverConfig(lipschitz=lipschitz, max_iters=3000, rel_tol=1e-14)
-        report = fista(data, prox=prox, config=config)
+        _, data, _, prox_at = make_soav_problem(seed=101)
+        lipschitz = spectral_lipschitz(data)
+        report = solve(data, prox_at, SolverConfig(max_iters=3000, rel_tol=1e-14), lipschitz)
         x = report.solution
         step = gradient(data, x) / lipschitz
-        residual = np.linalg.norm(x - prox(x - step, 1.0 / lipschitz))
+        residual = np.linalg.norm(x - prox_at(1.0 / lipschitz)(x - step))
         assert residual <= 1e-6 * (1.0 + np.linalg.norm(x))
 
     def test_momentum_accelerates_objective_decay(self):
         # Objective gap must shrink by much more than the 16x that the
         # 1/k^2 rate guarantees between iterations 50 and 200. FISTA is
         # deterministic, so a solve capped at k iterations ends at iterate k.
-        inst, data, weights, prox = make_soav_problem(seed=102)
-        lipschitz = estimate_lipschitz(data)
+        inst, data, weights, prox_at = make_soav_problem(seed=102)
+        lipschitz = spectral_lipschitz(data)
 
         def objective(x):
             return soav_objective_ref(x, inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY)
 
         def objective_after(iters):
-            config = SolverConfig(lipschitz=lipschitz, max_iters=iters, rel_tol=0.0)
-            return objective(fista(data, prox=prox, config=config).solution)
+            config = SolverConfig(max_iters=iters, rel_tol=0.0)
+            return objective(solve(data, prox_at, config, lipschitz).solution)
 
         f_star = objective(soav_prox_gradient_oracle(
             inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY, lipschitz, iters=50_000
@@ -209,53 +225,35 @@ class TestFista:
         rng = np.random.default_rng(6)
         data = QuadraticData(B=rng.standard_normal((10, 10)), y=rng.standard_normal(10),
                              scale=1.0)
-        config = SolverConfig(lipschitz=1e-6, max_iters=5000, rel_tol=rel_tol)
+        config = SolverConfig(max_iters=5000, rel_tol=rel_tol)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
-                fista(data, prox=lambda z, g: z, config=config)
+                fista(data, identity, config, lipschitz=1e-6)
 
     def test_finite_iterate_with_overflowing_step_is_accepted(self):
         # The squared step (1e200)^2 overflows, but the iterate itself is
         # finite, so it is no divergence.
         y = np.full(3, 1e200)
         data = QuadraticData(B=np.eye(3), y=y, scale=0.5)
-        config = SolverConfig(lipschitz=1.0, max_iters=1)
         with np.errstate(over="ignore"):
-            report = fista(data, prox=lambda z, g: z, config=config)
+            report = fista(data, identity, SolverConfig(max_iters=1), lipschitz=1.0)
         np.testing.assert_array_equal(report.solution, y)
         assert report.iterations == 1
 
 
 class TestFistaConvergenceFlag:
     def test_converged_when_the_stopping_test_fires(self):
-        _, data, _, prox = make_soav_problem(seed=8, n=8, m=6)
-        report = fista(data, prox=prox, config=SolverConfig(max_iters=500))
+        _, data, _, prox_at = make_soav_problem(seed=8, n=8, m=6)
+        report = solve(data, prox_at, SolverConfig(max_iters=500))
         assert report.iterations < 500
         assert report.converged
 
     def test_not_converged_when_the_budget_runs_out(self):
-        _, data, _, prox = make_soav_problem(seed=8, n=8, m=6)
+        _, data, _, prox_at = make_soav_problem(seed=8, n=8, m=6)
         for config in (SolverConfig(max_iters=5), SolverConfig(max_iters=50, rel_tol=0.0)):
-            report = fista(data, prox=prox, config=config)
+            report = solve(data, prox_at, config)
             assert report.iterations == config.max_iters
             assert not report.converged
-
-
-class TestFistaSharedBound:
-    def test_given_norm_sq_gives_the_same_bits(self):
-        inst, data, _, prox = make_soav_problem(seed=9, n=100, m=70)
-        own = fista(data, prox=prox, config=SolverConfig())
-        shared = fista(data, prox=prox, config=SolverConfig(), norm_sq=power_iteration(inst.mix))
-        np.testing.assert_array_equal(own.solution.view(np.uint64),
-                                      shared.solution.view(np.uint64))
-        assert own.iterations == shared.iterations
-
-    def test_configured_lipschitz_wins_over_norm_sq(self):
-        _, data, _, prox = make_soav_problem(seed=9)
-        config = SolverConfig(lipschitz=estimate_lipschitz(data), max_iters=50)
-        plain = fista(data, prox=prox, config=config)
-        ignored = fista(data, prox=prox, config=config, norm_sq=1e-9)
-        np.testing.assert_array_equal(plain.solution, ignored.solution)
 
 
 class TestMemoryLayout:
@@ -302,7 +300,7 @@ class TestMemoryLayout:
             y = B @ rng.choice([-1.0, 0.0, 1.0], B.shape[1]) + 0.1 * rng.standard_normal(70)
             data = QuadraticData(B=B, y=y, scale=30.0)
             config = SolverConfig(max_iters=100, rel_tol=0.0)
-            report = fista(data, prox=soft_threshold, config=config)
+            report = solve(data, soft_threshold_at, config)
             x, iterations, _ = fista_reference(
                 B, y, 30.0, soft_threshold, lambda _x: 0.0,
                 power_iteration_lipschitz(B, 30.0), 100, 0.0,
@@ -320,9 +318,9 @@ class TestFistaMatchesReferenceLoop:
     """fista returns the reference loop's bits: solution and iterations."""
 
     @staticmethod
-    def assert_same_solve(data, prox, config, ref_prox):
-        # config leaves L unset, so fista's own power iteration is compared too.
-        report = fista(data, prox=prox, config=config)
+    def assert_same_solve(data, prox_at, config, ref_prox):
+        # solve forms L from the library's power iteration, so that is compared too.
+        report = solve(data, prox_at, config)
         x, iterations, _ = fista_reference(
             data.B, data.y, data.scale, ref_prox, lambda _x: 0.0,
             power_iteration_lipschitz(data.B, data.scale), config.max_iters, config.rel_tol,
@@ -333,21 +331,21 @@ class TestFistaMatchesReferenceLoop:
 
     @pytest.mark.parametrize("rho", [0.8, 0.05])
     def test_paper_scale_lasso_and_map_soav(self, rho):
-        inst, data, weights, prox = make_soav_problem(
+        inst, data, weights, prox_at = make_soav_problem(
             seed=7, n=100, m=70, rho=rho, snr_db=12.0
         )
         self.assert_same_solve(
-            data, prox, SolverConfig(),
+            data, prox_at, SolverConfig(),
             lambda z, g: ternary_prox_cascade(z, g, tuple(weights.q)),
         )
         lasso_data = QuadraticData(B=inst.mix, y=inst.y, scale=30.0)
-        self.assert_same_solve(lasso_data, soft_threshold, SolverConfig(), soft_threshold)
+        self.assert_same_solve(lasso_data, soft_threshold_at, SolverConfig(), soft_threshold)
 
     def test_small_system_stops_on_rel_tol(self):
-        _, data, weights, prox = make_soav_problem(seed=8, n=8, m=6)
+        _, data, weights, prox_at = make_soav_problem(seed=8, n=8, m=6)
         config = SolverConfig(max_iters=500, rel_tol=1e-8)
         report = self.assert_same_solve(
-            data, prox, config,
+            data, prox_at, config,
             lambda z, g: ternary_prox_cascade(z, g, tuple(weights.q)),
         )
         assert report.iterations < config.max_iters

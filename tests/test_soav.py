@@ -5,17 +5,16 @@ import pytest
 
 from oracles import prox_1d_exhaustive, ternary_prox_breakpoints, ternary_prox_cascade
 from soavmud.model import SymbolPrior, bpsk_prior, gaussian_matrix, synthesize
-from soavmud import soav
 from soavmud.soav import (
     SingularWeightSystemError,
     SoavWeights,
     UnsupportedAlphabetError,
     build_weight_system,
     default_offset,
-    prox_vector,
     soav_objective,
     soav_penalty,
     solve_weights,
+    ternary_prox,
 )
 
 TERNARY = (-1.0, 0.0, 1.0)
@@ -174,16 +173,16 @@ class TestProxTernary:
     def test_identity_when_weights_vanish(self):
         weights = ternary_weights((0.0, 0.0, 0.0))
         for v in (-5.0, -0.3, 0.0, 1.0, 9.9):
-            assert prox_vector([v], 0.7, weights)[0] == v
+            assert ternary_prox(0.7, weights)([v])[0] == v
 
     def test_reference_points_against_oracle(self):
         # Frozen values confirmed with the exhaustive 1-D oracle.
         weights = ternary_weights((5.0, 2.0794, 5.0))
         cases = [(0.0, 0.0), (0.5, 0.29206), (-3.0, -1.79206)]
         for v, expected in cases:
-            assert prox_vector([v], 0.1, weights)[0] == pytest.approx(expected, abs=1e-12)
+            assert ternary_prox(0.1, weights)([v])[0] == pytest.approx(expected, abs=1e-12)
             oracle = prox_1d_exhaustive(v, 0.1, (5.0, 2.0794, 5.0), TERNARY)
-            assert prox_vector([v], 0.1, weights)[0] == pytest.approx(oracle, abs=1e-9)
+            assert ternary_prox(0.1, weights)([v])[0] == pytest.approx(oracle, abs=1e-9)
 
     def test_matches_oracle_on_random_convex_cases(self):
         rng = np.random.default_rng(2024)
@@ -192,7 +191,7 @@ class TestProxTernary:
             q = rng.uniform(0.0, 10.0, size=3)
             v = float(rng.uniform(-3.0, 3.0))
             oracle = prox_1d_exhaustive(v, gamma, q, TERNARY)
-            assert prox_vector([v], gamma, ternary_weights(q))[0] == pytest.approx(
+            assert ternary_prox(gamma, ternary_weights(q))([v])[0] == pytest.approx(
                 oracle, abs=1e-9
             )
 
@@ -202,7 +201,7 @@ class TestProxTernary:
             gamma = float(rng.uniform(0.05, 0.8))
             weights = ternary_weights(rng.uniform(0.0, 5.0, 3))
             v = np.sort(rng.uniform(-4.0, 4.0, size=200))
-            out = prox_vector(v, gamma, weights)
+            out = ternary_prox(gamma, weights)(v)
             diffs = np.diff(out)
             assert np.all(diffs >= -1e-12)
             assert np.all(diffs <= np.diff(v) + 1e-12)
@@ -210,55 +209,19 @@ class TestProxTernary:
     def test_nonconvex_zero_branch_never_fires(self):
         weights = solve_weights(bpsk_prior(0.05), default_offset(bpsk_prior(0.05)))
         v = np.linspace(-0.2, 0.2, 81)
-        out = prox_vector(v, 0.1, weights)
+        out = ternary_prox(0.1, weights)(v)
         assert not np.any(out == 0.0)
 
     def test_wrong_alphabet_is_rejected(self):
         weights = SoavWeights(q=(1.0, 1.0), c=0.0, alphabet=(-2.0, 2.0))
         with pytest.raises(UnsupportedAlphabetError):
-            prox_vector([0.3], 0.1, weights)
+            ternary_prox(0.1, weights)
 
     def test_nonpositive_gamma_is_rejected(self):
         weights = ternary_weights((1.0, 1.0, 1.0))
         for gamma in (0.0, -0.1):
             with pytest.raises(ValueError, match="gamma"):
-                prox_vector([0.3], gamma, weights)
-
-
-class TestProxTables:
-    """The ternary prox builds its breakpoint tables once per (gamma, weights)."""
-
-    @staticmethod
-    def count_builds():
-        soav._ternary_tables.cache_clear()
-        return lambda: soav._ternary_tables.cache_info().misses
-
-    def test_fixed_step_builds_once(self):
-        builds = self.count_builds()
-        weights = solve_weights(bpsk_prior(0.8), default_offset(bpsk_prior(0.8)))
-        v = np.linspace(-2.0, 2.0, 101)
-        first = prox_vector(v, 0.01, weights)
-        for _ in range(499):
-            again = prox_vector(v, 0.01, weights)
-        np.testing.assert_array_equal(first.view(np.uint64), again.view(np.uint64))
-        assert builds() == 1
-
-    def test_new_step_or_new_weights_rebuild(self):
-        builds = self.count_builds()
-        q = solve_weights(bpsk_prior(0.2), default_offset(bpsk_prior(0.2))).q
-        one, two = ternary_weights(q), ternary_weights(q)
-        v = np.linspace(-2.0, 2.0, 101)
-        for gamma, weights in ((0.1, one), (0.2, one), (0.2, one), (0.1, one), (0.1, two)):
-            out = prox_vector(v, gamma, weights)
-            ref = ternary_prox_cascade(v, gamma, tuple(q))
-            np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
-        assert builds() == 4
-
-    def test_kept_tables_are_read_only(self):
-        weights = ternary_weights((1.0, 2.0, 1.0))
-        for table in soav._ternary_tables(0.1, weights):
-            with pytest.raises(ValueError):
-                table[0] = 0.0
+                ternary_prox(gamma, weights)
 
 
 class TestProxMatchesCascade:
@@ -277,7 +240,7 @@ class TestProxMatchesCascade:
 
     def assert_bitwise_equal(self, gamma, q, rng):
         v = self.probe_values(rng, gamma, q)
-        out = prox_vector(v, gamma, ternary_weights(q))
+        out = ternary_prox(gamma, ternary_weights(q))(v)
         ref = ternary_prox_cascade(v, gamma, tuple(q))
         np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
