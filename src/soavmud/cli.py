@@ -9,7 +9,8 @@ Subcommands:
 A sweep's settings are merged in layers, each overriding the one before: the
 ExperimentConfig, DetectorConfig and SolverConfig defaults, the subcommand's
 own defaults, the JSON config file's top level, the file's detector entry (for
-that detector), then the command line flags.
+that detector), then the command line flags. Among the subcommand defaults is
+the worker count: one process per CPU this process may run on.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 from concurrent.futures import BrokenExecutor
@@ -42,6 +44,9 @@ _SOLVER_TYPES = {"max_iters": int, "rel_tol": float}
 _NULLABLE = ("sigma_w2_override",)
 # Detector fields that the file's top level and the flags set for every detector.
 _SHARED = ("lam", "alpha", "offset", "max_iters", "rel_tol")
+# The most points a start:stop:step range may give; a tiny step against a wide
+# span would otherwise build billions of values before the config could reject them.
+_MAX_AXIS_POINTS = 10_000
 
 
 def parse_axis(text: str) -> list:
@@ -58,6 +63,11 @@ def parse_axis(text: str) -> list:
         start, stop, step = bounds
         if step <= 0:
             raise ValueError("range step must be positive")
+        steps = (stop + 1e-9 - start) / step  # the loop below keeps floor(steps) + 1 values
+        if steps >= _MAX_AXIS_POINTS:
+            raise ValueError(
+                f"range spec gives {steps + 1:.6g} points, more than {_MAX_AXIS_POINTS}"
+            )
         values = []
         k = 0
         while True:
@@ -150,10 +160,21 @@ def _typed(doc: dict, types: dict) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform, e.g. macOS
+        return os.cpu_count() or 1
+
+
 def _experiment_from_args(args) -> ExperimentConfig:
     """The sweep that the parsed command line ``args`` asks for."""
     axis = "rho" if args.command == "sweep-rho" else "snr_db"
-    base = _ORACLE_DEFAULTS if args.command == "oracle-compare" else {}
+    # A fresh interpreter holds no threads, so forking workers is safe here,
+    # unlike in a library caller's process: see ExperimentConfig.parallelism.
+    base = {"parallelism": _usable_cpus(),
+            **(_ORACLE_DEFAULTS if args.command == "oracle-compare" else {})}
     file_doc = _load_config_file(args.config) if args.config else {}
     unknown = file_doc.keys() - _EXPERIMENT_TYPES.keys() - {"rho", "snr_db", "detectors", *_SHARED}
     if unknown:
@@ -195,7 +216,8 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="number of measurements M (default 70)")
     parser.add_argument("--trials", type=int, help="trials per axis point (default 1000)")
     parser.add_argument("--seed", dest="master_seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--parallelism", type=int, help="worker processes (default 1)")
+    parser.add_argument("--parallelism", type=int,
+                        help="worker processes (default: the CPUs this process may use)")
     parser.add_argument("--fix-matrix", action="store_true", default=None,
                         help="reuse one mixing matrix for every trial")
     parser.add_argument("--detectors", help="comma list, e.g. lmmse,lasso,map-soav")

@@ -69,6 +69,12 @@ class ExperimentConfig:
     ``rho`` and no variance override, the noise variance follows from the
     SNR), or a sequence for ``rho`` (which requires ``sigma_w2_override``
     and leaves ``snr_db`` unset, matching the fixed-variance protocol).
+
+    ``parallelism`` is the most worker processes ``run_sweep`` forks. It
+    defaults to 1, so a library call runs in the caller's process: forking a
+    process that may hold threads, as a host application can, is unsafe. The
+    CLI, which starts in a fresh interpreter, defaults to one worker per usable
+    CPU instead.
     """
 
     n_users: int = 100
@@ -326,7 +332,8 @@ def _one_blas_thread():
     Workers forked inside the block inherit the single thread. With more, an
     idle OpenBLAS helper thread in each worker spins on the CPU the other
     workers need; limiting each worker after the fork instead starts such a
-    thread in every one of them.
+    thread in every one of them. Serial sweeps run inside it too, so every
+    sweep has one BLAS policy; at paper scale they also ran faster on one thread.
     """
     functions = _blas_thread_functions()
     if functions is None:
@@ -344,32 +351,36 @@ def _one_blas_thread():
 def run_sweep(config: ExperimentConfig) -> list:
     """Run all axis points; returns one SweepResult per point, in axis order.
 
-    With ``parallelism > 1`` the trials run in forked worker processes, each
-    with a single BLAS thread. A worker that dies (killed, or out of memory)
-    raises ``BrokenProcessPool`` naming the sweep's master seed. A trial that
-    raises, serially or in a worker, raises ``TrialError`` naming the trial.
+    The trials run on ``min(parallelism, trials x axis points)`` worker
+    processes, forked, or in this process when that is 1; either way with a
+    single BLAS thread. A worker that dies (killed, or out of memory) raises
+    ``BrokenProcessPool`` naming the sweep's master seed. A trial that raises,
+    serially or in a worker, raises ``TrialError`` naming the trial.
     """
     values = [value for value in config.axis_points for _ in range(config.trials)]
     indices = [index for _ in config.axis_points for index in range(config.trials)]
-    if config.parallelism > 1:
-        # Imported here, because importing it costs every serial run ~7 ms of start-up.
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    workers = min(config.parallelism, len(values))
+    with _one_blas_thread():
+        if workers > 1:
+            # Imported here, because importing it costs every serial run ~7 ms of start-up.
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        chunk = max(1, len(values) // (4 * config.parallelism))
-        # fork, not spawn: a spawned worker re-imports numpy, which costs more
-        # than the trials of a short sweep, and would not inherit the limit.
-        fork = multiprocessing.get_context("fork")
-        try:
-            with _one_blas_thread(), ProcessPoolExecutor(config.parallelism, fork) as pool:
-                records = list(pool.map(run_trial, itertools.repeat(config), values, indices,
-                                        chunksize=chunk))
-        except BrokenProcessPool as exc:
-            raise BrokenProcessPool(
-                f"a worker process died during the sweep with master_seed"
-                f"={config.master_seed}; no results were kept"
-            ) from exc
-    else:
-        records = [run_trial(config, value, index) for value, index in zip(values, indices)]
+            # Rounded up, so chunks split evenly: 18 trials on 2 workers are 6 chunks of 3.
+            chunk = math.ceil(len(values) / (4 * workers))
+            # fork, not spawn: a spawned worker re-imports numpy, which costs more
+            # than the trials of a short sweep, and would not inherit the limit.
+            fork = multiprocessing.get_context("fork")
+            try:
+                with ProcessPoolExecutor(workers, fork) as pool:
+                    records = list(pool.map(run_trial, itertools.repeat(config), values,
+                                            indices, chunksize=chunk))
+            except BrokenProcessPool as exc:
+                raise BrokenProcessPool(
+                    f"a worker process died during the sweep with master_seed"
+                    f"={config.master_seed}; no results were kept"
+                ) from exc
+        else:
+            records = [run_trial(config, value, index) for value, index in zip(values, indices)]
     results = []
     for i, axis_value in enumerate(config.axis_points):
         block = records[i * config.trials : (i + 1) * config.trials]

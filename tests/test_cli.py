@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -62,6 +63,20 @@ class TestParsing:
         assert proc.returncode == 1
         assert proc.stderr == "error: range spec must be finite\n"
 
+    def test_range_bound(self):
+        assert parse_axis("10:16:2") == [10.0, 12.0, 14.0, 16.0]
+        assert len(parse_axis("1:10000:1")) == cli._MAX_AXIS_POINTS
+        with pytest.raises(ValueError, match="range spec gives 10001 points, more than 10000"):
+            parse_axis("0:10000:1")
+
+    def test_tiny_step_rejected_before_building_the_range(self):
+        # 10^12 values once grew until MemoryError, so the CLI runs in a child
+        # with capped memory and a timeout.
+        proc = _run_python("-m", "soavmud.cli", "simulate", "--users", "8", "--meas", "6",
+                           "--trials", "1", "--snr=0:1:1e-12", max_memory=2 * 1024**3)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: range spec gives 1e+12 points, more than 10000\n"
+
     def test_detector_aliases(self):
         assert parse_detectors("lmmse,lasso,map-soav,exhaustive-map") == [
             "lmmse", "lasso", "map_soav", "exhaustive_map",
@@ -70,6 +85,74 @@ class TestParsing:
     def test_unknown_detector_rejected(self):
         with pytest.raises(ValueError):
             parse_detectors("sphere")
+
+
+def _config_of(monkeypatch, argv):
+    """The ExperimentConfig that ``main(argv)`` hands to run_sweep; no trial runs."""
+    got = []
+    monkeypatch.setattr(cli, "run_sweep", got.append)
+    monkeypatch.setattr(cli, "emit_csv", lambda results, destination: None)
+    assert main(argv) == 0
+    return got[0]
+
+
+def _run_diverging(tmp_path, entry, *flags):
+    """Run ``simulate`` with every lasso solve diverging, in a fresh interpreter.
+
+    In a fresh interpreter, because pytest's log capture would replace the
+    last-resort handler that prints the warnings when no logging is set up. A
+    spectral bound of 1e-9 makes the step far too long, so every solve diverges.
+    """
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"detectors": [{"kind": "lasso", **entry}]}))
+    script = textwrap.dedent("""
+        import sys
+        from soavmud import cli, model
+
+        model.power_iteration = lambda B: 1e-9
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    return _run_python("-W", "ignore::RuntimeWarning", "-c", script, "simulate",
+                       "--config", str(path), "--users", "8", "--meas", "6", "--seed", "3",
+                       *flags)
+
+
+def _divergence_warning(trial):
+    return (f"trial {trial} at snr_db=12.0: detector lasso failed (solver produced a"
+            " non-finite iterate; the Lipschitz bound is too small)\n")
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["sweep-rho", "--rho", "0.2,0.8", "--sigma2", "0.1"],
+        ["oracle-compare"],
+    ], ids=["simulate", "sweep-rho", "oracle-compare"])
+    def test_default_is_the_usable_cpus(self, monkeypatch, argv):
+        assert _config_of(monkeypatch, argv).parallelism == len(os.sched_getaffinity(0))
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
+
+    def test_file_and_flag_override_the_default(self, monkeypatch, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"parallelism": cli._usable_cpus() + 1}))
+        argv = ["simulate", "--config", str(path)]
+        assert _config_of(monkeypatch, argv).parallelism == cli._usable_cpus() + 1
+        assert _config_of(monkeypatch, argv + ["--parallelism", "1"]).parallelism == 1
+
+    def test_pooled_detector_failures_are_logged_to_stderr(self, tmp_path):
+        proc = _run_diverging(tmp_path, {}, "--trials", "4", "--parallelism", "2")
+        assert proc.returncode == 0, proc.stderr
+        # The two workers' lines may interleave, but each arrives whole.
+        assert sorted(proc.stderr.splitlines(keepends=True)) == [
+            _divergence_warning(i) for i in range(4)
+        ]
+        assert "# failures snr_db=12 lasso: 4\n" in proc.stdout
 
 
 class TestCommands:
@@ -190,11 +273,9 @@ class TestCommands:
         assert "# detector map_soav: alpha=0.5 offset=10 max_iters=9 rel_tol=1e-08\n" in out
 
     def test_no_flags_and_no_file_give_the_dataclass_defaults(self, monkeypatch):
-        got = []
-        monkeypatch.setattr(cli, "run_sweep", got.append)
-        monkeypatch.setattr(cli, "emit_csv", lambda results, destination: None)
-        assert main(["simulate"]) == 0
-        assert got == [harness.ExperimentConfig()]
+        # All but the worker count, which the CLI sets to the usable CPUs.
+        assert _config_of(monkeypatch, ["simulate"]) == dataclasses.replace(
+            harness.ExperimentConfig(), parallelism=cli._usable_cpus())
 
     def test_config_file_numeric_string_sigma2(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -282,26 +363,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("entry", [{}, {"rel_tol": 0}], ids=["default-rel_tol", "rel_tol-0"])
     def test_detector_failures_are_logged_to_stderr(self, tmp_path, entry):
-        # In a fresh interpreter: pytest's log capture would replace the
-        # last-resort handler that prints the warnings when no logging is set up.
-        # A spectral bound of 1e-9 makes the step far too long, so every solve diverges.
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps({"detectors": [{"kind": "lasso", **entry}]}))
-        script = textwrap.dedent("""
-            import sys
-            from soavmud import cli, model
-
-            model.power_iteration = lambda B: 1e-9
-            sys.exit(cli.main(sys.argv[1:]))
-        """)
-        proc = _run_python("-W", "ignore::RuntimeWarning", "-c", script, "simulate",
-                           "--config", str(path), "--users", "8", "--meas", "6",
-                           "--trials", "2", "--seed", "3")
+        # Serial, so the warnings come in trial order.
+        proc = _run_diverging(tmp_path, entry, "--trials", "2", "--parallelism", "1")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "".join(
-            f"trial {i} at snr_db=12.0: detector lasso failed (solver produced a non-finite"
-            " iterate; the Lipschitz bound is too small)\n" for i in range(2)
-        )
+        assert proc.stderr == "".join(_divergence_warning(i) for i in range(2))
         assert "# failures snr_db=12 lasso: 2\n" in proc.stdout
 
     def test_failing_trial_is_named(self, monkeypatch, capsys):
@@ -316,7 +381,8 @@ class TestCommands:
 
         monkeypatch.setattr(harness, "run_detector", failing)
         code = main(["simulate", "--users", "8", "--meas", "6", "--trials", "4",
-                     "--snr", "12", "--seed", "13", "--detectors", "lmmse"])
+                     "--snr", "12", "--seed", "13", "--detectors", "lmmse",
+                     "--parallelism", "1"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.endswith(

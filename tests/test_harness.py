@@ -234,8 +234,8 @@ class TestRunSweep:
 
     def test_parallelism_keeps_csv_bytes_at_paper_scale(self):
         # At N = 100, M = 70 LMMSE's 70x100x70 product is large enough for
-        # OpenBLAS to split across threads in the serial run, while each
-        # pooled worker computes it on one thread.
+        # OpenBLAS to split across threads. Both runs hold it to one thread:
+        # the serial run in this process, the pooled run in each worker.
         def csv_text(parallelism):
             cfg = ExperimentConfig(
                 n_users=100, n_meas=70, trials=3, rho=0.8, snr_db=(12.0, 16.0),
@@ -247,7 +247,8 @@ class TestRunSweep:
 
         assert csv_text(1) == csv_text(2)
 
-    def test_pool_workers_run_one_blas_thread(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch, tmp_path, parallelism):
         functions = harness._blas_thread_functions()
         if functions is None:
             pytest.skip("numpy's BLAS exposes no known thread-count symbol")
@@ -267,15 +268,23 @@ class TestRunSweep:
         set_threads(2)
         try:
             before = get_threads()
-            run_sweep(small_config(parallelism=2))
+            run_sweep(small_config(parallelism=parallelism))
             after = get_threads()
         finally:
             set_threads(original)
         assert after == before
         reports = list(tmp_path.iterdir())
         assert len(reports) == 16
-        assert not any(r.name.startswith(f"{os.getpid()}-") for r in reports)
+        in_process = [r.name.startswith(f"{os.getpid()}-") for r in reports]
+        assert all(in_process) if parallelism == 1 else not any(in_process)
         assert {r.read_text() for r in reports} == {"1"}
+
+    def test_no_more_workers_than_trials(self, monkeypatch):
+        # One trial leaves no work for a second process, so it runs in this
+        # one, where the recording stand-in sees it.
+        made = capture_instances(monkeypatch)
+        run_sweep(small_config(trials=1, snr_db=10.0, parallelism=4))
+        assert len(made) == 1
 
     def test_rho_sweep_fixed_variance_protocol(self):
         cfg = ExperimentConfig(
