@@ -8,6 +8,7 @@ Gaussian noise of variance ``sigma_w2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,8 +127,8 @@ class SystemInstance:
             raise ValueError("b must have one entry per user")
         if w.shape != (m,) or y.shape != (m,):
             raise ValueError("w and y must have one entry per measurement")
-        if self.sigma_w2 <= 0.0:
-            raise ValueError("sigma_w2 must be positive")
+        if not 0.0 < self.sigma_w2 < math.inf:
+            raise ValueError("sigma_w2 must be positive and finite")
         for name, arr in (("S", S), ("gains", gains), ("b", b), ("w", w), ("y", y)):
             object.__setattr__(self, name, arr)
 
@@ -203,8 +204,8 @@ def synthesize(
         raise ValueError("S must be a 2-D matrix")
     m, n = S.shape
     gains = _as_gain_vector(A, n)
-    if sigma_w2 <= 0.0:
-        raise ValueError("sigma_w2 must be positive")
+    if not 0.0 < sigma_w2 < math.inf:
+        raise ValueError("sigma_w2 must be positive and finite")
     b = draw_symbols(prior, n, rng)
     if noiseless:
         w = np.zeros(m)

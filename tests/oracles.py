@@ -193,15 +193,17 @@ def fista_reference(B, y, scale, prox, penalty, lipschitz, max_iters, rel_tol):
     (solution, iterations, final objective).
     """
     gamma = 1.0 / lipschitz
-    two_scale = 2.0 * scale
+    # The gradient step x - gamma * 2 scale B^T (B x - y) as the affine map H x + c.
+    a = gamma * 2.0 * scale
+    H = np.identity(B.shape[1]) - a * (B.T @ B)
+    c = a * (B.T @ y)
     x_prev = np.zeros(B.shape[1])
     x_tilde = x_prev
     x = x_prev
     t = 1.0
     iterations = 0
     for k in range(1, max_iters + 1):
-        grad = two_scale * (B.T @ (B @ x_tilde - y))
-        x = prox(x_tilde - gamma * grad, gamma)
+        x = prox(H @ x_tilde + c, gamma)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite iterate")
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))

@@ -8,6 +8,7 @@ from soavmud import model
 from soavmud.model import (
     SnrSpec,
     SymbolPrior,
+    SystemInstance,
     bpsk_prior,
     draw_symbols,
     gaussian_matrix,
@@ -181,6 +182,16 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(prior, np.eye(4), np.arange(16.0).reshape(4, 4), 0.1,
                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma_w2", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_rejects_nonpositive_or_nonfinite_noise_variance(self, sigma_w2):
+        # A NaN or infinite variance would make every entry of y NaN or infinite.
+        with pytest.raises(ValueError, match="sigma_w2"):
+            synthesize(bpsk_prior(0.5), np.eye(4), np.ones(4), sigma_w2,
+                       np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sigma_w2"):
+            SystemInstance(S=np.eye(4), gains=np.ones(4), sigma_w2=sigma_w2,
+                           b=np.ones(4), w=np.zeros(4), y=np.ones(4))
 
 
 class TestGaussianMatrix:

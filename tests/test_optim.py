@@ -62,6 +62,13 @@ def soft_threshold_at(gamma):
     return lambda z: soft_threshold(z, gamma)
 
 
+class TestQuadraticData:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_scale(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            QuadraticData(B=np.eye(3), y=np.zeros(3), scale=scale)
+
+
 class TestGradient:
     def test_zero_at_consistent_point(self):
         rng = np.random.default_rng(0)
@@ -230,6 +237,16 @@ class TestFista:
             with pytest.raises(DivergenceError):
                 fista(data, identity, config, lipschitz=1e-6)
 
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_lipschitz(self, lipschitz):
+        # Unchecked, 0 raised ZeroDivisionError, -1 ran an ascent and inf
+        # returned x = 0 as converged.
+        rng = np.random.default_rng(6)
+        data = QuadraticData(B=rng.standard_normal((10, 10)), y=rng.standard_normal(10),
+                             scale=1.0)
+        with pytest.raises(ValueError, match="lipschitz"):
+            fista(data, identity, SolverConfig(), lipschitz=lipschitz)
+
     def test_finite_iterate_with_overflowing_step_is_accepted(self):
         # The squared step (1e200)^2 overflows, but the iterate itself is
         # finite, so it is no divergence.
@@ -239,6 +256,28 @@ class TestFista:
             report = fista(data, identity, SolverConfig(max_iters=1), lipschitz=1.0)
         np.testing.assert_array_equal(report.solution, y)
         assert report.iterations == 1
+
+
+class TestFistaStepAlgebra:
+    """fista's step is x - gradient(data, x) / L, checked against gradient itself.
+
+    With the identity prox, iterate 1 is the gradient step from 0, and the
+    momentum weight (t_1 - 1) / t_2 is 0, so iterate 2 is the gradient step
+    from iterate 1.
+    """
+
+    @pytest.mark.parametrize("m, n", [(70, 100), (100, 40), (20, 100)],
+                             ids=["paper", "tall", "wide N > 2M"])
+    def test_two_iterations_are_two_gradient_steps(self, m, n):
+        rng = np.random.default_rng(50)
+        data = QuadraticData(B=rng.standard_normal((m, n)), y=rng.standard_normal(m),
+                             scale=30.0)
+        lipschitz = spectral_lipschitz(data)
+        report = fista(data, identity, SolverConfig(max_iters=2, rel_tol=0.0), lipschitz)
+        x1 = -gradient(data, np.zeros(n)) / lipschitz
+        x2 = x1 - gradient(data, x1) / lipschitz
+        assert report.iterations == 2
+        assert np.linalg.norm(report.solution - x2) <= 1e-12 * np.linalg.norm(x2)
 
 
 class TestFistaConvergenceFlag:
@@ -257,12 +296,14 @@ class TestFistaConvergenceFlag:
 
 
 class TestMemoryLayout:
-    """fista multiplies with ``B.dot`` whatever the memory layout of B.
+    """fista forms H = I - a B^T B and c = a B^T y with ``B.T.dot`` whatever
+    the memory layout of B, and its loop multiplies by H, a fresh C-ordered
+    array, with ``H.dot``.
 
-    ``B.dot`` and ``B @ x`` agree bit for bit on C- and F-ordered matrices,
-    so there fista keeps the bits of the ``@`` reference loop. On other
-    strided views, e.g. every second column, the two take different code
-    paths and differ in the last bits; no caller builds such a B.
+    ``dot`` and ``@`` agree bit for bit on C- and F-ordered matrices, so
+    there fista keeps the bits of the ``@`` reference loop. On other strided
+    views, e.g. every second column, forming H and c takes different code
+    paths and differs in the last bits; no caller builds such a B.
     """
 
     @staticmethod
@@ -292,6 +333,7 @@ class TestMemoryLayout:
                 x, r = rng.standard_normal(B.shape[1]), rng.standard_normal(B.shape[0])
                 np.testing.assert_array_equal(B.dot(x), B @ x, err_msg=name)
                 np.testing.assert_array_equal(B.T.dot(r), B.T @ r, err_msg=name)
+            np.testing.assert_array_equal(B.T.dot(B), B.T @ B, err_msg=name)
 
     def test_fista_matches_reference_loop_on_every_layout(self):
         """Bit for bit on contiguous layouts, to 1e-12 on strided views."""
