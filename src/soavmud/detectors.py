@@ -3,6 +3,10 @@
 Every detector maps a SystemInstance to a continuous estimate plus a hard
 ternary decision. The continuous detectors share the same quantizer
 ``threshold_map`` so their error ratios are directly comparable.
+
+LASSO is SOAV with weights q = (0, 1, 0), whose penalty is ||x||_1, so both
+FISTA detectors run the closed-form ternary prox and differ only in
+(scale, weights).
 """
 
 from __future__ import annotations
@@ -14,15 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .model import SymbolPrior, SystemInstance
-from .optim import (
-    QuadraticData,
-    SolveReport,
-    SolverConfig,
-    fista,
-    lipschitz_bound,
-    soft_threshold,
-)
-from .soav import default_offset, solve_weights, ternary_prox
+from .optim import QuadraticData, SolveReport, SolverConfig, fista, lipschitz_bound
+from .soav import SoavWeights, default_offset, solve_weights, ternary_prox
 
 __all__ = [
     "DETECTOR_KINDS",
@@ -42,6 +39,8 @@ DETECTOR_KINDS = ("lmmse", "lasso", "map_soav", "exhaustive_map")
 
 _ENUMERATION_BOUND = 2**24
 _ENUMERATION_BLOCK = 2**15
+# q_0|x + 1| + q_1|x| + q_2|x - 1| with q = (0, 1, 0) is ||x||_1: the LASSO penalty.
+_L1_WEIGHTS = SoavWeights(q=(0.0, 1.0, 0.0), c=0.0, alphabet=(-1.0, 0.0, 1.0))
 
 
 class EnumerationBoundError(ValueError):
@@ -87,8 +86,8 @@ def threshold_map(raw, alpha: float) -> np.ndarray:
     Both boundaries are half-open: exactly -alpha maps to 0 and exactly
     +alpha maps to +1.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     v = np.asarray(raw, dtype=float)
     out = np.zeros_like(v)
     out[v < -alpha] = -1.0
@@ -113,14 +112,16 @@ def lmmse(
     return DetectionResult(raw=raw, decided=threshold_map(raw, alpha))
 
 
-def _solve(instance, data, prox_at, config: DetectorConfig) -> DetectionResult:
-    """Run fista on ``data`` with the prox ``prox_at(gamma)`` and quantize its solution.
+def _solve(instance, scale, weights: SoavWeights, config: DetectorConfig) -> DetectionResult:
+    """Minimize scale * ||y - S A x||^2 + sum_l q_l ||x - r_l 1||_1 by fista; quantize.
 
-    The step gamma = 1/L comes from the instance's cached spectral bound, so
-    lasso and map_soav on one instance share one power iteration.
+    The prox is ``ternary_prox`` at the step gamma = 1/L. L comes from the
+    instance's cached spectral bound, so lasso and map_soav on one instance
+    share one power iteration.
     """
-    L = lipschitz_bound(data.scale, instance.mix_norm_sq)
-    report = fista(data, prox_at(1.0 / L), config.solver, lipschitz=L)
+    data = QuadraticData(B=instance.mix, y=instance.y, scale=scale)
+    L = lipschitz_bound(scale, instance.mix_norm_sq)
+    report = fista(data, ternary_prox(1.0 / L, weights), config.solver, lipschitz=L)
     return DetectionResult(
         raw=report.solution,
         decided=threshold_map(report.solution, config.alpha),
@@ -129,13 +130,8 @@ def _solve(instance, data, prox_at, config: DetectorConfig) -> DetectionResult:
 
 
 def lasso(instance: SystemInstance, config: DetectorConfig) -> DetectionResult:
-    """Solve min_x lam * ||y - S A x||^2 + ||x||_1 and quantize."""
-    data = QuadraticData(B=instance.mix, y=instance.y, scale=config.lam)
-
-    def prox_at(gamma):
-        return lambda z: soft_threshold(z, gamma)
-
-    return _solve(instance, data, prox_at, config)
+    """Solve min_x lam * ||y - S A x||^2 + ||x||_1, SOAV with q = (0, 1, 0), and quantize."""
+    return _solve(instance, config.lam, _L1_WEIGHTS, config)
 
 
 def map_soav(
@@ -150,10 +146,7 @@ def map_soav(
     ``ternary_prox`` before the solve starts.
     """
     weights = solve_weights(prior, default_offset(prior, config.offset))
-    data = QuadraticData(
-        B=instance.mix, y=instance.y, scale=1.0 / (2.0 * instance.sigma_w2)
-    )
-    return _solve(instance, data, lambda gamma: ternary_prox(gamma, weights), config)
+    return _solve(instance, 1.0 / (2.0 * instance.sigma_w2), weights, config)
 
 
 def map_lattice_objective(x, instance: SystemInstance, prior: SymbolPrior) -> float:

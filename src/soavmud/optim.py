@@ -152,8 +152,8 @@ def lipschitz_bound(scale: float, norm_sq: float) -> float:
 
 def soft_threshold(v, gamma: float):
     """Shrink toward zero: sign(v) * max(|v| - gamma, 0)."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be nonnegative and finite")
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
 

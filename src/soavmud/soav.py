@@ -9,6 +9,7 @@ is convex whenever all q_l come out nonnegative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,8 +149,8 @@ def ternary_prox(gamma: float, weights: SoavWeights):
     """
     if not weights.ternary:
         raise UnsupportedAlphabetError("closed-form prox requires alphabet (-1, 0, 1)")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     q0, q1, q2 = weights.q.tolist()
     lo = gamma * (-q0 - q1 - q2)
     inner_lo = gamma * (q0 - q1 - q2)

@@ -22,7 +22,13 @@ from soavmud.model import (
     substream,
     synthesize,
 )
-from soavmud.optim import SolverConfig
+from soavmud.optim import (
+    QuadraticData,
+    SolverConfig,
+    fista,
+    lipschitz_bound,
+    soft_threshold,
+)
 from soavmud.soav import default_offset, soav_objective, solve_weights
 
 BINARY = SymbolPrior(alphabet=(-1.0, 1.0), probs=(0.5, 0.5))  # rho -> 0 limit
@@ -55,6 +61,11 @@ class TestThresholdMap:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             threshold_map([0.0], 0.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            threshold_map([0.3, 2.0], alpha)
 
 
 class TestLmmse:
@@ -122,6 +133,51 @@ class TestLasso:
             objective(rng.uniform(-1.5, 1.5, size=10)) for _ in range(10_000)
         )
         assert objective(result.raw) <= best_probe + 1e-9
+
+
+def sweep_instance(seed, axis_value, trial, rho, snr_db, n=100, m=70):
+    """The realization run_trial draws for one simulate trial, unit gains."""
+    rng = substream(seed, float(axis_value), trial)
+    sigma_w2 = n * (1.0 - rho) / m * 10.0 ** (-snr_db / 10.0)
+    return synthesize(bpsk_prior(rho), gaussian_matrix(m, n, rng), np.ones(n), sigma_w2, rng)
+
+
+class TestLassoIsSoftThresholdFista:
+    """lasso runs the ternary prox with q = (0, 1, 0); it must solve as the soft threshold does."""
+
+    @staticmethod
+    def soft_threshold_solve(inst, config):
+        L = lipschitz_bound(config.lam, inst.mix_norm_sq)
+        data = QuadraticData(B=inst.mix, y=inst.y, scale=config.lam)
+        return fista(data, lambda z: soft_threshold(z, 1.0 / L), config.solver, lipschitz=L)
+
+    def assert_same_solve(self, inst, config):
+        result = lasso(inst, config)
+        ref = self.soft_threshold_solve(inst, config)
+        # == treats +0.0 and -0.0 as equal; the bytes may differ only there.
+        np.testing.assert_array_equal(result.raw, ref.solution)
+        assert result.diagnostics.iterations == ref.iterations
+        assert result.diagnostics.converged == ref.converged
+        np.testing.assert_array_equal(
+            result.decided, threshold_map(ref.solution, config.alpha)
+        )
+        differ = result.raw.view(np.uint64) != ref.solution.view(np.uint64)
+        assert np.all(result.raw[differ] == 0.0)
+        return result
+
+    @pytest.mark.parametrize("rho, snr_db", [(0.8, 12.0), (0.8, 16.0), (0.05, 12.0), (0.2, 10.0)])
+    def test_paper_scale_regimes(self, rho, snr_db):
+        config = DetectorConfig(kind="lasso")
+        for trial in range(25):
+            self.assert_same_solve(sweep_instance(7, snr_db, trial, rho, snr_db), config)
+
+    def test_early_stop_before_the_cap(self):
+        # simulate --users 20 --meas 14 --rho 0.8 --snr 14 --seed 1, trial 141:
+        # rel_tol fires at iteration 475 of 500.
+        inst = sweep_instance(1, 14.0, 141, 0.8, 14.0, n=20, m=14)
+        result = self.assert_same_solve(inst, DetectorConfig(kind="lasso"))
+        assert result.diagnostics.converged
+        assert result.diagnostics.iterations < SolverConfig().max_iters
 
 
 class TestMapSoav:

@@ -162,6 +162,15 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_nonfinite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            soft_threshold(np.array([1.0, -2.0]), gamma)
+
+    def test_zero_gamma_is_the_identity(self):
+        v = np.array([-2.0, 0.0, 0.3])
+        np.testing.assert_array_equal(soft_threshold(v, 0.0), v)
+
 
 class TestFista:
     def test_unconstrained_quadratic_converges_to_data(self):

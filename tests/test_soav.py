@@ -5,6 +5,7 @@ import pytest
 
 from oracles import prox_1d_exhaustive, ternary_prox_breakpoints, ternary_prox_cascade
 from soavmud.model import SymbolPrior, bpsk_prior, gaussian_matrix, synthesize
+from soavmud.optim import soft_threshold
 from soavmud.soav import (
     SingularWeightSystemError,
     SoavWeights,
@@ -223,6 +224,23 @@ class TestProxTernary:
             with pytest.raises(ValueError, match="gamma"):
                 ternary_prox(gamma, weights)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_nonfinite_gamma_is_rejected(self, gamma):
+        # Unchecked, gamma = inf sends 0.3 and 2.0 to -1 under q = (1, 0, 1).
+        for q in ((1.0, 1.0, 1.0), (1.0, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="gamma"):
+                ternary_prox(gamma, ternary_weights(q))
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1, 0.5, 2.0])
+    def test_l1_weights_give_the_soft_threshold(self, gamma):
+        # q = (0, 1, 0) makes the penalty ||x||_1, the LASSO prox.
+        edges = np.array([0.0, gamma, 1.0 + gamma, np.inf])
+        v = np.concatenate([edges, -edges, np.nextafter(edges, 0.0), [np.nan],
+                            np.linspace(-3.0, 3.0, 601)])
+        out = ternary_prox(gamma, ternary_weights((0.0, 1.0, 0.0)))(v)
+        # assert_array_equal compares by == and wants NaN in the same places.
+        np.testing.assert_array_equal(out, soft_threshold(v, gamma))
+
 
 class TestProxMatchesCascade:
     """The one-pass prox returns the seven-branch cascade's bits exactly."""
@@ -251,6 +269,11 @@ class TestProxMatchesCascade:
             q = solve_weights(prior, default_offset(prior)).q
             for gamma in (1e-3, 0.01, 0.1, 0.5, 2.0):
                 self.assert_bitwise_equal(gamma, q, rng)
+
+    def test_l1_weights(self):
+        rng = np.random.default_rng(33)
+        for gamma in (1e-3, 0.01, 0.1, 0.5, 2.0):
+            self.assert_bitwise_equal(gamma, (0.0, 1.0, 0.0), rng)
 
     def test_random_weights_with_negative_middle_weight(self):
         rng = np.random.default_rng(32)
