@@ -40,7 +40,6 @@ from .harness import (
     run_trial,
 )
 from .model import (
-    SnrSpec,
     SymbolPrior,
     SystemInstance,
     bpsk_prior,

@@ -194,17 +194,20 @@ def _experiment_from_args(args) -> ExperimentConfig:
     ]
     fields = _typed(merged, _EXPERIMENT_TYPES)
     fields["detectors"] = tuple(_detector_from_dict(e, file_doc, flags) for e in entries)
+    if "snr_db" in merged:
+        snr = _json_axis(merged["snr_db"], "snr_db")
+        fields["snr_db"] = snr[0] if len(snr) == 1 else tuple(snr)
     if axis == "rho":
         if merged.get("rho") is None:
             raise ValueError("a rho sweep needs --rho")
         if fields.get("sigma_w2_override") is None:
             raise ValueError("a rho sweep needs --sigma2")
-        return ExperimentConfig(rho=tuple(_json_axis(merged["rho"], "rho")), snr_db=None, **fields)
+        # Left unset, snr_db would take its SNR-sweep default; one the file sets
+        # reaches ExperimentConfig, which refuses it.
+        fields.setdefault("snr_db", None)
+        return ExperimentConfig(rho=tuple(_json_axis(merged["rho"], "rho")), **fields)
     if "rho" in merged:
         fields["rho"] = _json_typed(merged["rho"], float, "rho")
-    if "snr_db" in merged:
-        snr = _json_axis(merged["snr_db"], "snr_db")
-        fields["snr_db"] = snr[0] if len(snr) == 1 else tuple(snr)
     return ExperimentConfig(**fields)
 
 

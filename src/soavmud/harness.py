@@ -22,8 +22,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .detectors import _ENUMERATION_BOUND, DetectorConfig, run_detector
-from .model import SnrSpec, bpsk_prior, gaussian_matrix, sigma_from_snr, substream, synthesize
-from .optim import DivergenceError
+from .model import bpsk_prior, gaussian_matrix, sigma_from_snr, substream, synthesize
+from .optim import DivergenceError, _as_int
 from .soav import SingularWeightSystemError, default_offset, solve_weights
 
 __all__ = [
@@ -89,6 +89,8 @@ class ExperimentConfig:
     fix_matrix: bool = False
 
     def __post_init__(self):
+        for name in ("n_users", "n_meas", "trials", "master_seed", "parallelism"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.n_users < 1 or self.n_meas < 1:
             raise ValueError("n_users and n_meas must be at least 1")
         if self.trials < 1:
@@ -160,9 +162,7 @@ class ExperimentConfig:
     def sigma_at(self, axis_value: float) -> float:
         if self.sigma_w2_override is not None:
             return self.sigma_w2_override
-        return sigma_from_snr(
-            SnrSpec(snr_db=float(axis_value), rho=self.rho), self.n_users, self.n_meas
-        )
+        return sigma_from_snr(float(axis_value), self.rho, self.n_users, self.n_meas)
 
 
 class TrialError(RuntimeError):
@@ -191,10 +191,11 @@ class TrialError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Per-trial outcome: symbol error counts and solver effort per detector."""
+    """Per-trial outcome: symbol error counts and solver effort per detector.
 
-    trial_index: int
-    axis_value: float
+    It names no trial: ``run_sweep`` keeps the records in trial order.
+    """
+
     error_counts: dict      # detector kind -> int, or None when the detector failed
     failure_reasons: dict   # detector kind -> message, only for failed detectors
     solves: dict            # detector kind -> (iterations, converged), solver runs only
@@ -248,13 +249,7 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
             report = result.diagnostics
             if report is not None:
                 solves[det.kind] = (report.iterations, report.converged)
-        return TrialRecord(
-            trial_index=trial_index,
-            axis_value=float(axis_value),
-            error_counts=counts,
-            failure_reasons=reasons,
-            solves=solves,
-        )
+        return TrialRecord(error_counts=counts, failure_reasons=reasons, solves=solves)
     except Exception as exc:
         raise TrialError(
             config.master_seed, config.axis, float(axis_value), trial_index,

@@ -18,7 +18,6 @@ from .optim import power_iteration
 
 __all__ = [
     "SymbolPrior",
-    "SnrSpec",
     "SystemInstance",
     "bpsk_prior",
     "draw_symbols",
@@ -78,27 +77,17 @@ def bpsk_prior(rho: float) -> SymbolPrior:
     return SymbolPrior(alphabet=(-1.0, 0.0, 1.0), probs=(half, rho, half))
 
 
-@dataclass(frozen=True)
-class SnrSpec:
-    """Operating point: SNR in decibels plus the non-active rate rho."""
-
-    snr_db: float
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must satisfy 0 <= rho < 1")
-
-
-def sigma_from_snr(spec: SnrSpec, n_users: int, n_meas: int) -> float:
-    """Noise variance that realizes the requested SNR.
+def sigma_from_snr(snr_db: float, rho: float, n_users: int, n_meas: int) -> float:
+    """Noise variance that realizes the requested SNR at non-active rate rho.
 
     SNR is defined as the ratio of total signal power N(1 - rho) to total
     noise power M sigma_w2, so sigma_w2 = N(1 - rho)/M * 10^(-SNR/10).
     """
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must satisfy 0 <= rho < 1")
     if n_users < 1 or n_meas < 1:
         raise ValueError("n_users and n_meas must be at least 1")
-    return n_users * (1.0 - spec.rho) / n_meas * 10.0 ** (-spec.snr_db / 10.0)
+    return n_users * (1.0 - rho) / n_meas * 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,41 +158,27 @@ def gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((m, n))
 
 
-def _as_gain_vector(A, n: int) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        if A.shape != (n,):
-            raise ValueError("gain vector length must match the number of users")
-        return A
-    if A.ndim == 2:
-        if A.shape != (n, n):
-            raise ValueError("gain matrix must be N x N")
-        diag = np.diagonal(A)
-        if np.count_nonzero(A - np.diag(diag)):
-            raise ValueError("gain matrix must be diagonal")
-        return diag.copy()
-    raise ValueError("gains must be a vector or a diagonal matrix")
-
-
 def synthesize(
     prior: SymbolPrior,
     S,
-    A,
+    gains,
     sigma_w2: float,
     rng: np.random.Generator,
     noiseless: bool = False,
 ) -> SystemInstance:
     """Draw (b, w) and assemble one realization of y = S A b + w.
 
-    ``A`` may be a length-N gain vector or the equivalent diagonal matrix.
-    With ``noiseless=True`` the noise is forced to zero (exact-recovery test
-    mode); sigma_w2 is still recorded for use in detector objectives.
+    ``gains`` is the length-N diagonal of A. With ``noiseless=True`` the
+    noise is forced to zero (exact-recovery test mode); sigma_w2 is still
+    recorded for use in detector objectives.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
         raise ValueError("S must be a 2-D matrix")
     m, n = S.shape
-    gains = _as_gain_vector(A, n)
+    gains = np.asarray(gains, dtype=float)
+    if gains.shape != (n,):
+        raise ValueError("gains must have one entry per user")
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError("sigma_w2 must be positive and finite")
     b = draw_symbols(prior, n, rng)

@@ -39,6 +39,13 @@ _LIPSCHITZ_SAFETY = 1.01
 _POWER_SEED = 0x51BB
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class DegenerateOperatorError(ValueError):
     """The data operator is identically zero, so no spectral bound exists."""
 
@@ -80,6 +87,7 @@ class SolverConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", _as_int("max_iters", self.max_iters))
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not 0.0 <= self.rel_tol < math.inf:

@@ -98,23 +98,22 @@ def default_offset(prior: SymbolPrior, offset: float = 10.0) -> float:
 
 
 def solve_weights(prior: SymbolPrior, c: float) -> SoavWeights:
-    """Solve R q = p_c for the penalty weights."""
+    """Solve R q = p_c for the penalty weights.
+
+    A singular R, or a solution whose residual exceeds the tolerance, raises
+    SingularWeightSystemError.
+    """
     R, p_c = build_weight_system(prior, c)
-    q = _solve_pivoted(R, p_c)
+    try:
+        q = np.linalg.solve(R, p_c)
+    except np.linalg.LinAlgError as exc:
+        raise SingularWeightSystemError("weight system is singular") from exc
     residual = float(np.max(np.abs(R @ q - p_c)))
     if not residual <= _RESIDUAL_TOL:  # also rejects a NaN residual
         raise SingularWeightSystemError(
             f"weight system solved to residual {residual:.2e} only"
         )
     return SoavWeights(q=q, c=float(c), alphabet=prior.alphabet)
-
-
-def _solve_pivoted(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve with partial pivoting; an exactly singular matrix raises."""
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularWeightSystemError("weight system is singular") from exc
 
 
 def soav_penalty(x, weights: SoavWeights) -> float:

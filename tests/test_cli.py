@@ -214,6 +214,16 @@ class TestCommands:
         assert "# sigma_w2=0.0226" in text
         assert "rho,0.2,lmmse,2," in text
 
+    def test_sweep_rho_config_file_snr_db_rejected(self, tmp_path, capsys):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"snr_db": 12}))
+        code = main([
+            "sweep-rho", "--config", str(path), "--users", "8", "--meas", "6",
+            "--rho", "0.2,0.8", "--sigma2", "0.0226", "--trials", "1", "--detectors", "lmmse",
+        ])
+        assert code == 1
+        assert "a rho sweep fixes the noise variance" in capsys.readouterr().err
+
     def test_oracle_compare_defaults_to_small_system(self, tmp_path):
         out = tmp_path / "oracle.csv"
         code = main([

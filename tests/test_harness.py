@@ -103,6 +103,27 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="finite"):
                 build(value)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"],
+                             ids=["float", "integral-float", "bool", "string"])
+    @pytest.mark.parametrize(
+        "name", ["n_users", "n_meas", "trials", "master_seed", "parallelism", "max_iters"]
+    )
+    def test_integer_field_rejects_non_integer(self, name, value):
+        # A float seed used to draw the streams of its integer part, and a
+        # float trial count to fail in run_sweep instead of here.
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            if name == "max_iters":
+                SolverConfig(max_iters=value)
+            else:
+                small_config(**{name: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        counts = dict(n_users=12, n_meas=9, trials=8, master_seed=5, parallelism=2)
+        cfg = small_config(**{name: np.int64(v) for name, v in counts.items()})
+        assert {name: getattr(cfg, name) for name in counts} == counts
+        assert all(type(getattr(cfg, name)) is int for name in counts)
+        assert type(SolverConfig(max_iters=np.int32(7)).max_iters) is int
+
     def test_axis_properties(self):
         snr_cfg = small_config()
         assert snr_cfg.axis == "snr_db"

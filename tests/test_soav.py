@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import prox_1d_exhaustive, ternary_prox_breakpoints, ternary_prox_cascade
+from soavmud import soav
 from soavmud.model import SymbolPrior, bpsk_prior, gaussian_matrix, synthesize
 from soavmud.optim import soft_threshold
 from soavmud.soav import (
@@ -113,13 +114,14 @@ class TestSolveWeights:
             with pytest.raises(ValueError, match="strictly increasing"):
                 SoavWeights(q=(1.0, 1.0, 1.0), c=0.0, alphabet=alphabet)
 
-    def test_singular_system_raises(self):
-        # A two-symbol alphabet gives R = [[0, d], [d, 0]] which is regular;
-        # force singularity through a zero-distance duplicate via direct call.
-        from soavmud.soav import _solve_pivoted
-
-        with pytest.raises(SingularWeightSystemError):
-            _solve_pivoted(np.zeros((2, 2)), np.ones(2))
+    def test_singular_system_raises(self, monkeypatch):
+        # A strictly increasing alphabet always gives a regular R (the matrix
+        # of a Euclidean distance), so a zero R stands in for a singular one.
+        monkeypatch.setattr(
+            soav, "build_weight_system", lambda prior, c: (np.zeros((3, 3)), np.ones(3))
+        )
+        with pytest.raises(SingularWeightSystemError, match="weight system is singular"):
+            solve_weights(bpsk_prior(0.8), 14.0)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf")])
     def test_nonfinite_offset_raises(self, c):
@@ -140,7 +142,7 @@ class TestSoavObjective:
     def test_hand_evaluated_l1_terms(self):
         prior = bpsk_prior(0.5)
         weights = SoavWeights(q=(1.0, 1.0, 1.0), c=0.0, alphabet=TERNARY)
-        inst = synthesize(prior, np.eye(2), np.eye(2), 1.0,
+        inst = synthesize(prior, np.eye(2), np.ones(2), 1.0,
                           np.random.default_rng(0), noiseless=True)
         # Force x = 0, y = 0: only the l1 spread terms remain.
         inst = type(inst)(S=inst.S, gains=inst.gains, sigma_w2=1.0,
