@@ -16,6 +16,7 @@ the worker count: one process per CPU this process may run on.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,14 +37,16 @@ _ORACLE_DEFAULTS = {
     "trials": 200,
     "detectors": [{"kind": kind} for kind in DETECTOR_KINDS],
 }
-# The JSON type of each config key. Only the one whose default is None may be null.
-_EXPERIMENT_TYPES = {"n_users": int, "n_meas": int, "trials": int, "master_seed": int,
-                     "parallelism": int, "fix_matrix": bool, "sigma_w2_override": float}
-_DETECTOR_TYPES = {"lam": float, "alpha": float, "offset": float}
-_SOLVER_TYPES = {"max_iters": int, "rel_tol": float}
-_NULLABLE = ("sigma_w2_override",)
+# Each dataclass field's default; the flags' help text shows them.
+_DEFAULTS = {f.name: f.default
+             for cls in (ExperimentConfig, DetectorConfig, SolverConfig)
+             for f in dataclasses.fields(cls)}
+# Each config key goes to the dataclass with a field of that name, which checks its value.
+_SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 # Detector fields that the file's top level and the flags set for every detector.
-_SHARED = ("lam", "alpha", "offset", "max_iters", "rel_tol")
+_SHARED = ({f.name for f in dataclasses.fields(DetectorConfig)} - {"kind", "solver"}
+           | _SOLVER_FIELDS)
+_EXPERIMENT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 # The most points a start:stop:step range may give; a tiny step against a wide
 # span would otherwise build billions of values before the config could reject them.
 _MAX_AXIS_POINTS = 10_000
@@ -108,11 +111,11 @@ def _detector_from_dict(entry, file_doc: dict, flags: dict) -> DetectorConfig:
     kind = str(doc.pop("kind", "")).lower().replace("-", "_")
     if kind not in DETECTOR_KINDS:
         raise ValueError("detector entries need a valid 'kind'")
-    unknown = doc.keys() - _DETECTOR_TYPES.keys() - _SOLVER_TYPES.keys()
+    unknown = doc.keys() - _SHARED
     if unknown:
         raise ValueError(f"unknown detector fields: {sorted(unknown)}")
-    solver = SolverConfig(**_typed(doc, _SOLVER_TYPES))
-    return DetectorConfig(kind=kind, solver=solver, **_typed(doc, _DETECTOR_TYPES))
+    solver = SolverConfig(**{key: doc.pop(key) for key in _SOLVER_FIELDS if key in doc})
+    return DetectorConfig(kind=kind, solver=solver, **doc)
 
 
 def _load_config_file(path) -> dict:
@@ -121,43 +124,6 @@ def _load_config_file(path) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     return doc
-
-
-_JSON_NAMES = {int: "a JSON integer", bool: "a JSON boolean", float: "a JSON number"}
-
-
-def _json_typed(value, kind: type, key: str):
-    """Return a config value of JSON type ``kind``: int, bool or float.
-
-    int and bool values are not coerced: 2.9 or "2" is no integer, "false" no
-    boolean, and a boolean is no integer although Python's bool subclasses
-    int. A float field takes any JSON number, or a string that reads as one
-    ("0.1"), and returns a float; a list, null or boolean is no number.
-    """
-    is_bool = isinstance(value, bool)
-    if kind is float and isinstance(value, (int, float, str)) and not is_bool:
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    elif isinstance(value, kind) and (kind is bool or not is_bool):
-        return value
-    raise ValueError(f"{key} must be {_JSON_NAMES[kind]}, got {value!r}")
-
-
-def _json_axis(value, key: str) -> list:
-    """An axis from a config file: one JSON number or a list of them."""
-    values = value if isinstance(value, list) else [value]
-    return [_json_typed(v, float, key) for v in values]
-
-
-def _typed(doc: dict, types: dict) -> dict:
-    """The keys of ``types`` that ``doc`` sets, each checked against its JSON type."""
-    return {
-        key: None if doc[key] is None and key in _NULLABLE else _json_typed(doc[key], kind, key)
-        for key, kind in types.items()
-        if key in doc
-    }
 
 
 def _usable_cpus() -> int:
@@ -176,7 +142,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
     base = {"parallelism": _usable_cpus(),
             **(_ORACLE_DEFAULTS if args.command == "oracle-compare" else {})}
     file_doc = _load_config_file(args.config) if args.config else {}
-    unknown = file_doc.keys() - _EXPERIMENT_TYPES.keys() - {"rho", "snr_db", "detectors", *_SHARED}
+    unknown = file_doc.keys() - _EXPERIMENT_FIELDS - _SHARED
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     flags = {key: value for key, value in vars(args).items() if value is not None}
@@ -192,45 +158,50 @@ def _experiment_from_args(args) -> ExperimentConfig:
     entries = entries or base.get("detectors") or [
         {"kind": det.kind} for det in ExperimentConfig().detectors
     ]
-    fields = _typed(merged, _EXPERIMENT_TYPES)
+    fields = {key: merged[key] for key in _EXPERIMENT_FIELDS if key in merged}
     fields["detectors"] = tuple(_detector_from_dict(e, file_doc, flags) for e in entries)
-    if "snr_db" in merged:
-        snr = _json_axis(merged["snr_db"], "snr_db")
-        fields["snr_db"] = snr[0] if len(snr) == 1 else tuple(snr)
-    if axis == "rho":
-        if merged.get("rho") is None:
-            raise ValueError("a rho sweep needs --rho")
-        if fields.get("sigma_w2_override") is None:
-            raise ValueError("a rho sweep needs --sigma2")
-        # Left unset, snr_db would take its SNR-sweep default; one the file sets
-        # reaches ExperimentConfig, which refuses it.
-        fields.setdefault("snr_db", None)
-        return ExperimentConfig(rho=tuple(_json_axis(merged["rho"], "rho")), **fields)
-    if "rho" in merged:
-        fields["rho"] = _json_typed(merged["rho"], float, "rho")
+    rho = fields.get("rho")
+    if axis == "snr_db":
+        # The command sweeps snr_db; a list would make ExperimentConfig sweep rho.
+        if isinstance(rho, list):
+            raise ValueError(f"rho must be a number, got {rho!r}")
+        return ExperimentConfig(**fields)
+    if rho is None:
+        raise ValueError("a rho sweep needs --rho")
+    if fields.get("sigma_w2_override") is None:
+        raise ValueError("a rho sweep needs --sigma2")
+    fields["rho"] = rho if isinstance(rho, list) else [rho]
+    # Left unset, snr_db would take its SNR-sweep default; one the file sets
+    # reaches ExperimentConfig, which refuses it.
+    fields.setdefault("snr_db", None)
     return ExperimentConfig(**fields)
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, defaults: dict):
+    """The flags of every sweep, with the values that ``defaults`` gives as their defaults."""
+    def shown(key):
+        return f"(default {defaults[key]:g})"
+
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--users", dest="n_users", type=int,
-                        help="number of users N (default 100)")
+                        help=f"number of users N {shown('n_users')}")
     parser.add_argument("--meas", dest="n_meas", type=int,
-                        help="number of measurements M (default 70)")
-    parser.add_argument("--trials", type=int, help="trials per axis point (default 1000)")
-    parser.add_argument("--seed", dest="master_seed", type=int, help="master seed (default 0)")
+                        help=f"number of measurements M {shown('n_meas')}")
+    parser.add_argument("--trials", type=int, help=f"trials per axis point {shown('trials')}")
+    parser.add_argument("--seed", dest="master_seed", type=int,
+                        help=f"master seed {shown('master_seed')}")
     parser.add_argument("--parallelism", type=int,
                         help="worker processes (default: the CPUs this process may use)")
     parser.add_argument("--fix-matrix", action="store_true", default=None,
                         help="reuse one mixing matrix for every trial")
     parser.add_argument("--detectors", help="comma list, e.g. lmmse,lasso,map-soav")
-    parser.add_argument("--lam", type=float, help="LASSO quadratic weight (default 30)")
-    parser.add_argument("--alpha", type=float, help="decision threshold (default 0.5)")
-    parser.add_argument("--offset", type=float, help="weight-offset margin (default 10)")
+    parser.add_argument("--lam", type=float, help=f"LASSO quadratic weight {shown('lam')}")
+    parser.add_argument("--alpha", type=float, help=f"decision threshold {shown('alpha')}")
+    parser.add_argument("--offset", type=float, help=f"weight-offset margin {shown('offset')}")
     parser.add_argument("--max-iters", dest="max_iters", type=int,
-                        help="solver iteration cap (default 500)")
+                        help=f"solver iteration cap {shown('max_iters')}")
     parser.add_argument("--rel-tol", dest="rel_tol", type=float,
-                        help="solver stopping tolerance (default 1e-8)")
+                        help=f"solver stopping tolerance {shown('rel_tol')}")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
 
 
@@ -244,18 +215,20 @@ def build_parser() -> argparse.ArgumentParser:
     wts = sub.add_parser("weights", help="print the calibrated penalty weights")
     cmp_ = sub.add_parser(
         "oracle-compare",
-        help="small-system sweep including exhaustive MAP (default 8 users,"
-        " 6 measurements, 200 trials, every detector)",
+        help="small-system sweep including exhaustive MAP (default {n_users} users,"
+        " {n_meas} measurements, {trials} trials, every detector)".format(**_ORACLE_DEFAULTS),
     )
-    for snr_sweep in (sim, cmp_):
-        _add_common(snr_sweep)
-        snr_sweep.add_argument("--rho", type=float, help="non-active rate (default 0.8)")
+    for snr_sweep, defaults in ((sim, _DEFAULTS), (cmp_, {**_DEFAULTS, **_ORACLE_DEFAULTS})):
+        _add_common(snr_sweep, defaults)
+        snr_sweep.add_argument("--rho", type=float,
+                               help=f"non-active rate (default {defaults['rho']:g})")
         snr_sweep.add_argument("--snr", dest="snr_db",
-                               help="SNR axis in dB: value, list, or start:stop:step (default 12)")
+                               help="SNR axis in dB: value, list, or start:stop:step"
+                               f" (default {defaults['snr_db']:g})")
         snr_sweep.add_argument("--sigma2", dest="sigma_w2_override", type=float,
                                help="noise variance override (single-point runs only)")
 
-    _add_common(rho)
+    _add_common(rho, _DEFAULTS)
     rho.add_argument("--rho", help="rho axis: value, list, or start:stop:step")
     rho.add_argument("--sigma2", dest="sigma_w2_override", type=float,
                      help="fixed noise variance (required)")

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SymbolPrior, SystemInstance
-from .optim import QuadraticData, SolveReport, SolverConfig, fista, lipschitz_bound
+from .optim import QuadraticData, SolveReport, SolverConfig, _as_float, fista, lipschitz_bound
 from .soav import SoavWeights, default_offset, solve_weights, ternary_prox
 
 __all__ = [
@@ -60,6 +60,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
+        for name in ("lam", "alpha", "offset"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite")
         if not math.isfinite(self.offset):

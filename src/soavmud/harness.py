@@ -23,7 +23,7 @@ import numpy as np
 
 from .detectors import _ENUMERATION_BOUND, DetectorConfig, run_detector
 from .model import bpsk_prior, gaussian_matrix, sigma_from_snr, substream, synthesize
-from .optim import DivergenceError, _as_int
+from .optim import DivergenceError, _as_float, _as_int
 from .soav import SingularWeightSystemError, default_offset, solve_weights
 
 __all__ = [
@@ -53,6 +53,13 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
+def _number_or_axis(name: str, value):
+    """A swept setting as a tuple of floats, or a fixed one as a float."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return tuple(_as_float(name, v) for v in value)
+    return _as_float(name, value)
+
+
 def _default_detectors() -> tuple:
     return (
         DetectorConfig(kind="lmmse"),
@@ -68,7 +75,8 @@ class ExperimentConfig:
     Exactly one axis is swept: pass a sequence for ``snr_db`` (with scalar
     ``rho`` and no variance override, the noise variance follows from the
     SNR), or a sequence for ``rho`` (which requires ``sigma_w2_override``
-    and leaves ``snr_db`` unset, matching the fixed-variance protocol).
+    and leaves ``snr_db`` unset, matching the fixed-variance protocol). The
+    swept axis may not repeat a point.
 
     ``parallelism`` is the most worker processes ``run_sweep`` forks. It
     defaults to 1, so a library call runs in the caller's process: forking a
@@ -109,32 +117,32 @@ class ExperimentConfig:
                 f"exhaustive_map would scan 3^{self.n_users} candidates, more than"
                 f" the enumeration bound {_ENUMERATION_BOUND}"
             )
-        rho = self.rho
-        snr = self.snr_db
-        if isinstance(rho, (list, tuple, np.ndarray)):
-            rho = tuple(float(r) for r in rho)
-            object.__setattr__(self, "rho", rho)
+        if not isinstance(self.fix_matrix, (bool, np.bool_)):
+            raise ValueError(f"fix_matrix must be a boolean, got {self.fix_matrix!r}")
+        object.__setattr__(self, "fix_matrix", bool(self.fix_matrix))
+        rho = _number_or_axis("rho", self.rho)
+        snr = None if self.snr_db is None else _number_or_axis("snr_db", self.snr_db)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "snr_db", snr)
+        if self.sigma_w2_override is not None:
+            sigma_w2 = _as_float("sigma_w2_override", self.sigma_w2_override)
+            object.__setattr__(self, "sigma_w2_override", sigma_w2)
+        if isinstance(rho, tuple):
             if not rho:
                 raise ValueError("rho sweep must be nonempty")
             if snr is not None:
                 raise ValueError("a rho sweep fixes the noise variance; leave snr_db unset")
             if self.sigma_w2_override is None:
                 raise ValueError("a rho sweep requires sigma_w2_override")
-        else:
-            object.__setattr__(self, "rho", float(rho))
-            if snr is None:
-                raise ValueError("snr_db is required unless rho is swept")
-            if isinstance(snr, (list, tuple, np.ndarray)):
-                snr = tuple(float(s) for s in snr)
-                object.__setattr__(self, "snr_db", snr)
-                if not snr:
-                    raise ValueError("snr sweep must be nonempty")
-                if len(snr) > 1 and self.sigma_w2_override is not None:
-                    raise ValueError(
-                        "an SNR sweep derives the noise variance; drop sigma_w2_override"
-                    )
-            else:
-                object.__setattr__(self, "snr_db", float(snr))
+        elif snr is None:
+            raise ValueError("snr_db is required unless rho is swept")
+        elif isinstance(snr, tuple):
+            if not snr:
+                raise ValueError("snr sweep must be nonempty")
+            if len(snr) > 1 and self.sigma_w2_override is not None:
+                raise ValueError(
+                    "an SNR sweep derives the noise variance; drop sigma_w2_override"
+                )
         if self.sigma_w2_override is not None and not 0.0 < self.sigma_w2_override < math.inf:
             raise ValueError("sigma_w2_override must be positive and finite")
         if self.snr_db is not None and not all(map(math.isfinite, self.axis_points)):
@@ -142,6 +150,12 @@ class ExperimentConfig:
         for r in self.rho_values():
             if not 0.0 < r < 1.0:
                 raise ValueError("every rho must lie strictly inside (0, 1)")
+        # A repeated point would rerun the same keyed trials and print a copy
+        # of its rows as if it were a second, independent estimate.
+        points = self.axis_points
+        if len(set(points)) < len(points):
+            value = next(v for i, v in enumerate(points) if v in points[:i])
+            raise ValueError(f"{self.axis} repeats the axis point {value!r}")
 
     @property
     def axis(self) -> str:

@@ -17,6 +17,7 @@ workload; there is no switch to the two-product form for N >= 2M.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,6 +45,13 @@ def _as_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_float(name: str, value) -> float:
+    """``value`` as a float; a bool, a string, None or any other non-number raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 class DegenerateOperatorError(ValueError):
@@ -88,6 +96,7 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", _as_int("max_iters", self.max_iters))
+        object.__setattr__(self, "rel_tol", _as_float("rel_tol", self.rel_tol))
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not 0.0 <= self.rel_tol < math.inf:

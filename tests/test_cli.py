@@ -234,6 +234,44 @@ class TestCommands:
         assert "exhaustive_map" in text
         assert "n_users=8 n_meas=6" in text
 
+    @pytest.mark.parametrize("command", ["simulate", "oracle-compare"])
+    def test_help_gives_the_defaults_the_command_runs(self, monkeypatch, capsys, command):
+        # Wide enough that argparse wraps no help line.
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        config = _config_of(monkeypatch, [command])
+        lasso = next(det for det in config.detectors if det.kind == "lasso")
+        for flag_help, value in [
+            ("number of users N", config.n_users),
+            ("number of measurements M", config.n_meas),
+            ("trials per axis point", config.trials),
+            ("master seed", config.master_seed),
+            ("LASSO quadratic weight", lasso.lam),
+            ("decision threshold", lasso.alpha),
+            ("weight-offset margin", lasso.offset),
+            ("solver iteration cap", lasso.solver.max_iters),
+            ("solver stopping tolerance", lasso.solver.rel_tol),
+            ("non-active rate", config.rho),
+            ("start:stop:step", config.snr_db),
+        ]:
+            assert f"{flag_help} (default {value:g})" in text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--snr", "10,12,12"], "snr_db repeats the axis point 12.0"),
+        (["sweep-rho", "--rho", "0.2,0.5,0.2", "--sigma2", "0.1"],
+         "rho repeats the axis point 0.2"),
+    ], ids=["snr", "rho"])
+    def test_repeated_axis_point_rejected(self, monkeypatch, capsys, argv, message):
+        # Each repeat would rerun the same keyed trials as a second estimate.
+        def no_sweep(config):
+            raise AssertionError("run_sweep must not start")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert main(argv + ["--users", "8", "--meas", "6", "--trials", "1"]) == 1
+        assert message in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = {
             "n_users": 8,
@@ -294,8 +332,9 @@ class TestCommands:
         ))
         code = main(["simulate", "--config", str(path), "--users", "8", "--meas", "6",
                      "--trials", "2"])
-        assert code == 0
-        assert "# sigma_w2=0.1" in capsys.readouterr().out
+        # A value has one form, a JSON number, as for a library caller.
+        assert code == 1
+        assert "sigma_w2_override must be a number, got '0.1'" in capsys.readouterr().err
 
     def test_config_file_unknown_detector_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -310,17 +349,19 @@ class TestCommands:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"fix_matrix": "false"}, "fix_matrix must be a JSON boolean"),
-            ({"fix_matrix": 1}, "fix_matrix must be a JSON boolean"),
-            ({"trials": 2.9}, "trials must be a JSON integer"),
-            ({"n_users": True}, "n_users must be a JSON integer"),
-            ({"master_seed": "3"}, "master_seed must be a JSON integer"),
-            ({"max_iters": 2.5}, "max_iters must be a JSON integer"),
+            ({"fix_matrix": "false"}, "fix_matrix must be a boolean"),
+            ({"fix_matrix": 1}, "fix_matrix must be a boolean"),
+            ({"trials": 2.9}, "trials must be an integer"),
+            ({"n_users": True}, "n_users must be an integer"),
+            ({"master_seed": "3"}, "master_seed must be an integer"),
+            ({"max_iters": 2.5}, "max_iters must be an integer"),
             ({"detectors": [{"kind": "lasso", "max_iters": 2.5}]},
-             "max_iters must be a JSON integer"),
-            ({"lam": [30]}, "lam must be a JSON number, got [30]"),
+             "max_iters must be an integer"),
+            ({"lam": [30]}, "lam must be a number, got [30]"),
             ({"detectors": [{"kind": "lasso", "rel_tol": None}]},
-             "rel_tol must be a JSON number, got None"),
+             "rel_tol must be a number, got None"),
+            ({"rho": [0.2, 0.8], "snr_db": None, "sigma_w2_override": 0.1},
+             "rho must be a number, got [0.2, 0.8]"),
             ({"detectors": {"kind": "lasso"}}, "detectors must be a JSON list"),
             ({"n_user": 8, "detector": [{"kind": "lasso"}]},
              "unknown config keys: ['detector', 'n_user']"),
@@ -329,8 +370,8 @@ class TestCommands:
         ],
         ids=["fix_matrix-string", "fix_matrix-int", "trials-float", "n_users-bool",
              "master_seed-string", "max_iters-float", "detector-max_iters-float",
-             "lam-list", "detector-rel_tol-null", "detectors-object", "misspelt-keys",
-             "detector-lipschitz"],
+             "lam-list", "detector-rel_tol-null", "simulate-rho-list", "detectors-object",
+             "misspelt-keys", "detector-lipschitz"],
     )
     def test_config_file_wrong_type_rejected(self, tmp_path, capsys, doc, message):
         path = tmp_path / "exp.json"

@@ -1,5 +1,7 @@
 """Tests for the four detectors and the ternary quantizer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,18 @@ class TestCommonContracts:
         assert soav_objective(result.raw, inst, weights) <= soav_objective(
             inst.b, inst, weights
         ) + 1e-6
+
+    @pytest.mark.parametrize("value", [True, "30"], ids=["bool", "string"])
+    @pytest.mark.parametrize("name", ["lam", "alpha", "offset"])
+    def test_config_number_field_rejects_non_number(self, name, value):
+        # Before, True was taken as 1 and "30" raised a bare TypeError.
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+            DetectorConfig(kind="lasso", **{name: value})
+
+    def test_config_stores_numbers_as_floats(self):
+        config = DetectorConfig(kind="lasso", lam=30, alpha=np.float32(0.25), offset=np.int64(7))
+        assert (config.lam, config.alpha, config.offset) == (30.0, 0.25, 7.0)
+        assert all(type(v) is float for v in (config.lam, config.alpha, config.offset))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import io
 import itertools
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,40 @@ class TestExperimentConfig:
                 SolverConfig(max_iters=value)
             else:
                 small_config(**{name: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(snr_db=12.0, sigma_w2_override="0.1"),
+         "sigma_w2_override must be a number, got '0.1'"),
+        (dict(rho="0.8"), "rho must be a number, got '0.8'"),
+        (dict(snr_db=("10", "12")), "snr_db must be a number, got '10'"),
+        (dict(rho=(0.2, True), snr_db=None, sigma_w2_override=0.1),
+         "rho must be a number, got True"),
+    ], ids=["sigma_w2_override-string", "rho-string", "snr_db-strings", "rho-bool"])
+    def test_number_field_rejects_non_number(self, fields, message):
+        # Before, a numeric string was read as its number, or raised a bare TypeError.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_config(**fields)
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_fix_matrix_rejects_non_boolean(self, value):
+        # "false" used to run fix-matrix mode, its CSV reading fix_matrix=false.
+        message = f"fix_matrix must be a boolean, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_config(fix_matrix=value)
+
+    def test_fix_matrix_takes_a_numpy_bool(self):
+        assert small_config(fix_matrix=np.bool_(True)).fix_matrix is True
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(snr_db=(10.0, 14.0, 10.0)), "snr_db repeats the axis point 10.0"),
+        (dict(snr_db=(0.0, -0.0)), "snr_db repeats the axis point -0.0"),
+        (dict(rho=(0.2, 0.5, 0.2), snr_db=None, sigma_w2_override=0.1),
+         "rho repeats the axis point 0.2"),
+    ], ids=["snr_db", "signed-zero-snr_db", "rho"])
+    def test_repeated_axis_point_rejected(self, fields, message):
+        # Each repeat would rerun the same keyed trials as a second estimate.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_config(**fields)
 
     def test_integer_fields_take_numpy_integers(self):
         counts = dict(n_users=12, n_meas=9, trials=8, master_seed=5, parallelism=2)

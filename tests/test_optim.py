@@ -1,5 +1,7 @@
 """Tests for the quadratic term, Lipschitz estimation, and the FISTA solver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,18 @@ class TestQuadraticData:
     def test_rejects_nonpositive_or_nonfinite_scale(self, scale):
         with pytest.raises(ValueError, match="scale"):
             QuadraticData(B=np.eye(3), y=np.zeros(3), scale=scale)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("rel_tol", [True, "1e-3", None], ids=["bool", "string", "none"])
+    def test_rel_tol_rejects_non_number(self, rel_tol):
+        # Before, True was taken as 1 and "1e-3" or None raised a bare TypeError.
+        message = f"rel_tol must be a number, got {rel_tol!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SolverConfig(rel_tol=rel_tol)
+
+    def test_rel_tol_is_stored_as_a_float(self):
+        assert type(SolverConfig(rel_tol=0).rel_tol) is float
 
 
 class TestGradient:
