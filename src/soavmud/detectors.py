@@ -11,6 +11,7 @@ FISTA detectors run the closed-form ternary prox and differ only in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -60,6 +61,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError(f"solver must be a SolverConfig, got {self.solver!r}")
         for name in ("lam", "alpha", "offset"):
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not 0.0 < self.lam < math.inf:
@@ -166,13 +169,38 @@ def map_lattice_objective(x, instance: SystemInstance, prior: SymbolPrior) -> fl
     return data + float(logp @ mismatches)
 
 
+@functools.lru_cache(maxsize=1)
+def _lattice_block(n_users: int, alphabet: tuple, logp: tuple, start: int, stop: int):
+    """Candidates start..stop-1 of the lattice and their prior terms, read-only.
+
+    Candidate c holds the base-k digits of c, most significant first, mapped
+    through ``alphabet``; its prior term is the sum of ``logp`` over those
+    digits. The key is the exact values, block bounds included, so a changed
+    block size never returns a stale block. One block is kept: a lattice of
+    one block is built once for a run of trials on the same (N, prior), and a
+    larger one is rebuilt block by block on every call.
+    """
+    k = len(alphabet)
+    place = k ** np.arange(n_users - 1, -1, -1, dtype=np.int64)
+    codes = np.arange(start, stop, dtype=np.int64)
+    digits = (codes[:, None] // place[None, :]) % k
+    X = np.asarray(alphabet)[digits]
+    prior_term = np.asarray(logp)[digits].sum(axis=1)
+    X.flags.writeable = False
+    prior_term.flags.writeable = False
+    return X, prior_term
+
+
 def exhaustive_map(instance: SystemInstance, prior: SymbolPrior) -> DetectionResult:
     """Exact MAP detection by full lattice enumeration.
 
     Only feasible for small problems; refuses to enumerate more than 2^24
     candidates. Candidates are scanned in lexicographic order of their
     symbol indices and ties keep the earliest candidate, so the result is
-    deterministic.
+    deterministic. The candidates and their prior terms depend only on
+    (N, prior) and come from ``_lattice_block``, which keeps its last block:
+    a lattice of one block (at most 2^15 candidates, N <= 9 on a ternary
+    alphabet) is built once for a run of trials on one (N, prior).
     """
     n = instance.n_users
     k = prior.n_symbols
@@ -182,21 +210,18 @@ def exhaustive_map(instance: SystemInstance, prior: SymbolPrior) -> DetectionRes
             f"{k}^{n} = {total} candidates exceed the enumeration bound {_ENUMERATION_BOUND}"
         )
     B = instance.mix
-    r = prior.alphabet
     logp = np.log(prior.probs)
     const = n * float(logp.sum())
-    place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    key = (n, tuple(prior.alphabet.tolist()), tuple(logp.tolist()))
     best_value = np.inf
     best_x = None
     for start in range(0, total, _ENUMERATION_BLOCK):
-        codes = np.arange(start, min(start + _ENUMERATION_BLOCK, total), dtype=np.int64)
-        digits = (codes[:, None] // place[None, :]) % k
-        X = r[digits]
+        X, prior_term = _lattice_block(*key, start, min(start + _ENUMERATION_BLOCK, total))
         resid = instance.y[None, :] - X @ B.T
         values = (
             np.einsum("ij,ij->i", resid, resid) / (2.0 * instance.sigma_w2)
             + const
-            - logp[digits].sum(axis=1)
+            - prior_term
         )
         j = int(np.argmin(values))
         if values[j] < best_value:

@@ -108,6 +108,9 @@ class ExperimentConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if not self.detectors:
             raise ValueError("at least one detector must be configured")
+        for det in self.detectors:
+            if not isinstance(det, DetectorConfig):
+                raise ValueError(f"each detector must be a DetectorConfig, got {det!r}")
         kinds = [det.kind for det in self.detectors]
         if len(set(kinds)) != len(kinds):
             raise ValueError("detector kinds must be unique within a run")

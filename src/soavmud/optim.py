@@ -82,10 +82,6 @@ class QuadraticData:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "y", y)
 
-    def value(self, x) -> float:
-        resid = self.y - self.B @ x
-        return self.scale * float(resid @ resid)
-
 
 @dataclass(frozen=True)
 class SolverConfig:

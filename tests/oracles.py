@@ -218,6 +218,28 @@ def fista_reference(B, y, scale, prox, penalty, lipschitz, max_iters, rel_tol):
     return x, iterations, scale * float(resid @ resid) + penalty(x)
 
 
+def exhaustive_map_reference(B, y, sigma_w2, alphabet, probs):
+    """Exact MAP over the whole lattice in one array, built afresh on every call.
+
+    The same expressions as ``detectors.exhaustive_map`` over candidates in
+    lexicographic order of their symbol indices; ``np.argmin`` keeps the
+    earliest of tied candidates. Returns the winning lattice vector.
+    """
+    alphabet = np.asarray(alphabet, dtype=float)
+    logp = np.log(np.asarray(probs, dtype=float))
+    k, n = alphabet.size, B.shape[1]
+    place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(k**n, dtype=np.int64)[:, None] // place[None, :]) % k
+    X = alphabet[digits]
+    resid = y[None, :] - X @ B.T
+    values = (
+        np.einsum("ij,ij->i", resid, resid) / (2.0 * sigma_w2)
+        + n * float(logp.sum())
+        - logp[digits].sum(axis=1)
+    )
+    return X[int(np.argmin(values))].copy()
+
+
 def central_difference_gradient(fun, x, h=1e-6):
     """Central finite differences of a scalar function."""
     x = np.asarray(x, dtype=float)

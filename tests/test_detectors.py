@@ -1,10 +1,13 @@
 """Tests for the four detectors and the ternary quantizer."""
 
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+from oracles import exhaustive_map_reference
+from soavmud import detectors
 from soavmud.detectors import (
     DetectorConfig,
     EnumerationBoundError,
@@ -16,6 +19,7 @@ from soavmud.detectors import (
     run_detector,
     threshold_map,
 )
+from soavmud.harness import ExperimentConfig, run_sweep
 from soavmud.model import (
     SymbolPrior,
     SystemInstance,
@@ -290,6 +294,91 @@ class TestExhaustiveMap:
         with pytest.raises(EnumerationBoundError):
             exhaustive_map(inst, prior)
 
+    @staticmethod
+    def product_argmin(inst, prior):
+        """The first minimizer of map_lattice_objective over itertools.product."""
+        lattice = itertools.product(prior.alphabet, repeat=inst.n_users)
+        return np.array(min(lattice, key=lambda x: map_lattice_objective(np.array(x), inst,
+                                                                        prior)))
+
+    def assert_matches_references(self, result, inst, prior):
+        reference = exhaustive_map_reference(inst.mix, inst.y, inst.sigma_w2, prior.alphabet,
+                                             prior.probs)
+        assert result.raw.tobytes() == reference.tobytes()
+        assert result.decided.tobytes() == reference.tobytes()
+        np.testing.assert_array_equal(result.decided, self.product_argmin(inst, prior))
+
+    def test_repeated_calls_and_instances_match_uncached_references(self):
+        # The lattice is built once per (N, prior); each instance must still
+        # get its own argmin, on every call.
+        prior = bpsk_prior(0.6)
+        rng = np.random.default_rng(21)
+        instances = [synthesize(prior, gaussian_matrix(4, 5, rng), np.ones(5), 0.3, rng)
+                     for _ in range(4)]
+        for inst in instances + instances[::-1]:
+            self.assert_matches_references(exhaustive_map(inst, prior), inst, prior)
+
+    def test_lattice_of_many_blocks(self, monkeypatch):
+        # 3^6 = 729 candidates in blocks of 7: 105 blocks, each a cache miss.
+        monkeypatch.setattr(detectors, "_ENUMERATION_BLOCK", 7)
+        prior = bpsk_prior(0.7)
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            inst = synthesize(prior, gaussian_matrix(5, 6, rng), np.ones(6), 0.2, rng)
+            self.assert_matches_references(exhaustive_map(inst, prior), inst, prior)
+
+    @pytest.mark.parametrize("block", [7, 2**15], ids=["many-blocks", "one-block"])
+    def test_exact_tie_keeps_the_earliest_candidate(self, monkeypatch, block):
+        # User 0 has zero gain, so flipping its -1 to +1 changes no residual,
+        # and at rho 0.2 P(-1) = P(+1): the two best candidates tie exactly
+        # (every product and sum below is exact). They lie 2 * 3^5 codes apart,
+        # so blocks of 7 put them in different blocks. The earlier one, with
+        # -1, must win either way.
+        monkeypatch.setattr(detectors, "_ENUMERATION_BLOCK", block)
+        prior = bpsk_prior(0.2)
+        S = np.array([[1.0, -1.0, 1.0, 1.0, -1.0, 1.0],
+                      [1.0, 1.0, -1.0, 1.0, 1.0, -1.0],
+                      [-1.0, 1.0, 1.0, -1.0, 1.0, 1.0],
+                      [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]])
+        inst = SystemInstance(S=S, gains=[0.0, 1.0, 1.0, 1.0, 1.0, 1.0], sigma_w2=0.5,
+                              b=np.zeros(6), w=np.zeros(4), y=[1.5, -0.5, 2.0, -1.0])
+        result = exhaustive_map(inst, prior)
+        assert result.decided[0] == -1.0
+        flipped = result.decided.copy()
+        flipped[0] = 1.0
+        logp = np.log(prior.probs)
+        terms = [(inst.y - inst.mix @ x, logp[np.searchsorted(prior.alphabet, x)].sum())
+                 for x in (result.decided, flipped)]
+        assert terms[0][0].tobytes() == terms[1][0].tobytes()
+        assert terms[0][1] == terms[1][1]
+        reference = exhaustive_map_reference(inst.mix, inst.y, inst.sigma_w2, prior.alphabet,
+                                             prior.probs)
+        assert result.raw.tobytes() == reference.tobytes()
+
+    def test_cached_block_is_read_only(self):
+        prior = bpsk_prior(0.8)
+        rng = np.random.default_rng(23)
+        inst = synthesize(prior, gaussian_matrix(3, 4, rng), np.ones(4), 0.1, rng)
+        result = exhaustive_map(inst, prior)
+        logp = tuple(np.log(prior.probs).tolist())
+        X, prior_term = detectors._lattice_block(4, tuple(prior.alphabet.tolist()), logp, 0, 81)
+        assert X.shape == (81, 4) and prior_term.shape == (81,)
+        for arr in (X, prior_term):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # The result is a copy, so a caller may change it.
+        assert result.raw.flags.writeable and result.decided.flags.writeable
+
+    def test_one_cache_miss_per_lattice_over_a_sweep(self):
+        # Each rho is another prior, so another lattice: 2 misses in 2 x 5 trials.
+        config = ExperimentConfig(n_users=6, n_meas=5, trials=5, rho=(0.2, 0.8), snr_db=None,
+                                  sigma_w2_override=0.1,
+                                  detectors=(DetectorConfig(kind="exhaustive_map"),))
+        detectors._lattice_block.cache_clear()
+        run_sweep(config)
+        info = detectors._lattice_block.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 8, 1)
+
 
 class TestCommonContracts:
     def test_all_decisions_live_on_the_alphabet(self):
@@ -340,6 +429,13 @@ class TestCommonContracts:
         config = DetectorConfig(kind="lasso", lam=30, alpha=np.float32(0.25), offset=np.int64(7))
         assert (config.lam, config.alpha, config.offset) == (30.0, 0.25, 7.0)
         assert all(type(v) is float for v in (config.lam, config.alpha, config.offset))
+
+    def test_config_solver_rejects_non_solver_config(self):
+        # Before, the dict was accepted and run_sweep failed at trial 0 with
+        # "'dict' object has no attribute 'rel_tol'".
+        message = "solver must be a SolverConfig, got {'max_iters': 5}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectorConfig(kind="lasso", solver={"max_iters": 5})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

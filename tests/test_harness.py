@@ -82,6 +82,15 @@ class TestExperimentConfig:
             ExperimentConfig(detectors=(DetectorConfig(kind="lmmse"),
                                         DetectorConfig(kind="lmmse")))
 
+    def test_detector_entry_must_be_a_detector_config(self):
+        # Before, a bare kind string raised "AttributeError: 'str' object has
+        # no attribute 'kind'".
+        message = "each detector must be a DetectorConfig, got 'lasso'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(detectors=("lasso",))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_config(detectors=(DetectorConfig(kind="lmmse"), "lasso"))
+
     def test_oversized_exhaustive_map_rejected(self):
         oracle = (DetectorConfig(kind="exhaustive_map"),)
         with pytest.raises(ValueError, match="3\\^16 candidates"):

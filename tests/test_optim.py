@@ -56,6 +56,16 @@ def solve(data, prox_at, config, lipschitz=None):
     return fista(data, prox_at(1.0 / lipschitz), config, lipschitz)
 
 
+def quadratic_value(data):
+    """The data term x -> scale * ||y - B x||^2, written out."""
+
+    def value(x):
+        resid = data.y - data.B @ x
+        return data.scale * float(resid @ resid)
+
+    return value
+
+
 def identity(z):
     return z
 
@@ -101,7 +111,7 @@ class TestGradient:
         data = QuadraticData(B=rng.standard_normal((7, 5)), y=rng.standard_normal(7),
                              scale=1.7)
         x = rng.standard_normal(5)
-        numeric = central_difference_gradient(data.value, x)
+        numeric = central_difference_gradient(quadratic_value(data), x)
         analytic = gradient(data, x)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-6)
 
@@ -113,7 +123,7 @@ class TestGradient:
                                  y=rng.standard_normal(m),
                                  scale=float(rng.uniform(0.1, 5.0)))
             x = rng.standard_normal(n)
-            numeric = central_difference_gradient(data.value, x)
+            numeric = central_difference_gradient(quadratic_value(data), x)
             np.testing.assert_allclose(gradient(data, x), numeric, rtol=1e-5, atol=1e-5)
 
     def test_dimension_mismatch(self):
