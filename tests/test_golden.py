@@ -1,6 +1,6 @@
-"""Golden outputs: two paper-scale CLI sweeps must reproduce committed CSVs byte for byte.
+"""Golden outputs: three paper-scale CLI sweeps must reproduce committed CSVs byte for byte.
 
-Every solve at N = 100, M = 70 runs to the 500-iteration cap, so the CSVs,
+The LMMSE-only sweep pins 300 paper-scale symbol draws and decisions. Every solve at N = 100, M = 70 runs to the 500-iteration cap, so the CSVs,
 `# solver` lines included, do not depend on where an early stop falls; on
 small systems that can move with the BLAS kernel of the CPU.
 """
@@ -22,8 +22,10 @@ PAPER_SCALE = ["--users", "100", "--meas", "70", "--seed", "1"]
                           "--detectors", "lmmse,lasso,map-soav", "--trials", "2"]),
         ("sweep_rho.csv", ["sweep-rho", "--sigma2", "0.0226", "--rho", "0.05,0.3",
                            "--detectors", "lasso,map-soav", "--trials", "3"]),
+        ("simulate_lmmse.csv", ["simulate", "--rho", "0.8", "--snr", "12,14,16",
+                                "--detectors", "lmmse", "--trials", "100"]),
     ],
-    ids=["simulate", "sweep-rho"],
+    ids=["simulate", "sweep-rho", "simulate-lmmse"],
 )
 def test_cli_csv_matches_golden(tmp_path, name, argv):
     out = tmp_path / name
