@@ -15,7 +15,6 @@ from .detectors import (
     exhaustive_map,
     lasso,
     lmmse,
-    map_lattice_objective,
     map_soav,
     run_detector,
     threshold_map,
@@ -59,7 +58,6 @@ from .optim import (
     gradient,
     lipschitz_bound,
     power_iteration,
-    soft_threshold,
 )
 from .soav import (
     SingularWeightSystemError,

@@ -32,7 +32,6 @@ __all__ = [
     "lasso",
     "map_soav",
     "exhaustive_map",
-    "map_lattice_objective",
     "run_detector",
 ]
 
@@ -111,8 +110,10 @@ def lmmse(
     """
     m2 = float(prior.probs @ prior.alphabet**2)
     B = instance.mix
-    G = m2 * (B @ B.T)
-    G[np.diag_indices_from(G)] += instance.sigma_w2
+    G = B @ B.T
+    G *= m2
+    # The diagonal of the C-ordered M x M matrix, as a strided view.
+    G.reshape(-1)[:: G.shape[0] + 1] += instance.sigma_w2
     raw = m2 * (B.T @ np.linalg.solve(G, instance.y))
     return DetectionResult(raw=raw, decided=threshold_map(raw, alpha))
 
@@ -150,23 +151,24 @@ def map_soav(
     result. A non-ternary prior raises ``UnsupportedAlphabetError`` from
     ``ternary_prox`` before the solve starts.
     """
-    weights = solve_weights(prior, default_offset(prior, config.offset))
+    weights = _map_weights(prior, config.offset)
     return _solve(instance, 1.0 / (2.0 * instance.sigma_w2), weights, config)
 
 
-def map_lattice_objective(x, instance: SystemInstance, prior: SymbolPrior) -> float:
-    """Exact MAP objective on the lattice:
+def _map_weights(prior: SymbolPrior, offset: float) -> SoavWeights:
+    """map_soav's weights: ``solve_weights`` at ``default_offset(prior, offset)``.
 
-    ||y - S A x||^2 / (2 sigma_w2) + sum_l (log p_l) ||x - r_l 1||_0.
+    They depend only on the prior's values and the offset, and
+    ``SoavWeights`` is read-only, so one object per value is built and
+    shared by every trial and by the CSV's weight lines.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (instance.n_users,):
-        raise ValueError("x must have one entry per user")
-    resid = instance.y - instance.mix @ x
-    data = float(resid @ resid) / (2.0 * instance.sigma_w2)
-    logp = np.log(prior.probs)
-    mismatches = np.count_nonzero(x[:, None] != prior.alphabet, axis=0)
-    return data + float(logp @ mismatches)
+    return _weights_by_value(tuple(prior.alphabet.tolist()), tuple(prior.probs.tolist()), offset)
+
+
+@functools.lru_cache(maxsize=64)
+def _weights_by_value(alphabet: tuple, probs: tuple, offset: float) -> SoavWeights:
+    prior = SymbolPrior(alphabet=alphabet, probs=probs)
+    return solve_weights(prior, default_offset(prior, offset))
 
 
 @functools.lru_cache(maxsize=1)

@@ -8,9 +8,11 @@ Gaussian noise of variance ``sigma_w2``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -38,10 +40,15 @@ def _readonly(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SymbolPrior:
-    """Finite symbol alphabet r_0 < ... < r_L with occurrence probabilities."""
+    """Finite symbol alphabet r_0 < ... < r_L with occurrence probabilities.
+
+    ``cdf`` is the normalized cumulative distribution that ``draw_symbols``
+    searches, formed once here.
+    """
 
     alphabet: np.ndarray
     probs: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         alphabet = _readonly(self.alphabet)
@@ -56,20 +63,27 @@ class SymbolPrior:
             raise ValueError("all symbol probabilities must be positive")
         if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
             raise ValueError("symbol probabilities must sum to 1")
+        # The expressions Generator.choice applies to p, so the draw keeps its bits.
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def n_symbols(self) -> int:
         return int(self.alphabet.size)
 
 
+@functools.lru_cache(maxsize=64)
 def bpsk_prior(rho: float) -> SymbolPrior:
     """On-off BPSK prior: P(0) = rho, P(-1) = P(+1) = (1 - rho) / 2.
 
     rho is the non-active rate, i.e. the probability that a user transmits
     nothing in the slot. It must lie strictly inside (0, 1) so that every
-    symbol keeps positive probability.
+    symbol keeps positive probability. A prior is read-only, so one object
+    per value of rho is built and shared by every trial that asks for it.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie strictly inside (0, 1) for a ternary prior")
@@ -92,7 +106,13 @@ def sigma_from_snr(snr_db: float, rho: float, n_users: int, n_meas: int) -> floa
 
 @dataclass(frozen=True, eq=False)
 class SystemInstance:
-    """One realization of y = S A b + w."""
+    """One realization of y = S A b + w.
+
+    ``mix`` is the effective mixing matrix S A, read-only and formed once.
+    It is formed here as ``S * gains`` when not given. A caller that has
+    already formed that product, as ``synthesize`` has for y, hands it over
+    instead; a given ``mix`` is trusted to be it.
+    """
 
     S: np.ndarray        # (M, N) mixing matrix
     gains: np.ndarray    # (N,) diagonal of the channel-gain matrix A
@@ -100,6 +120,7 @@ class SystemInstance:
     b: np.ndarray        # (N,) transmitted symbols
     w: np.ndarray        # (M,) noise actually added
     y: np.ndarray        # (M,) received vector
+    mix: Optional[np.ndarray] = field(default=None, repr=False)  # (M, N) S A
 
     def __post_init__(self):
         S = _readonly(self.S)
@@ -118,7 +139,16 @@ class SystemInstance:
             raise ValueError("w and y must have one entry per measurement")
         if not 0.0 < self.sigma_w2 < math.inf:
             raise ValueError("sigma_w2 must be positive and finite")
-        for name, arr in (("S", S), ("gains", gains), ("b", b), ("w", w), ("y", y)):
+        if self.mix is None:
+            mix = S * gains
+            mix.setflags(write=False)
+        else:
+            mix = _readonly(self.mix)
+        if mix.shape != (m, n):
+            raise ValueError("mix must have the shape of S")
+        for name, arr in (
+            ("S", S), ("gains", gains), ("b", b), ("w", w), ("y", y), ("mix", mix)
+        ):
             object.__setattr__(self, name, arr)
 
     @property
@@ -128,11 +158,6 @@ class SystemInstance:
     @property
     def n_users(self) -> int:
         return int(self.S.shape[1])
-
-    @property
-    def mix(self) -> np.ndarray:
-        """Effective mixing matrix S A, shape (M, N)."""
-        return self.S * self.gains
 
     @cached_property
     def mix_norm_sq(self) -> float:
@@ -145,10 +170,15 @@ class SystemInstance:
 
 
 def draw_symbols(prior: SymbolPrior, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. symbols from the prior."""
+    """Draw n i.i.d. symbols from the prior by inverse-CDF lookup.
+
+    This is the algorithm ``rng.choice(prior.alphabet, size=n, p=prior.probs)``
+    runs, without its check of p, so it gives the same symbols and leaves
+    ``rng`` in the same state.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return rng.choice(prior.alphabet, size=n, p=prior.probs)
+    return prior.alphabet[prior.cdf.searchsorted(rng.random(n), side="right")]
 
 
 def gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,8 +216,9 @@ def synthesize(
         w = np.zeros(m)
     else:
         w = rng.normal(0.0, np.sqrt(sigma_w2), size=m)
-    y = (S * gains) @ b + w
-    return SystemInstance(S=S, gains=gains, sigma_w2=float(sigma_w2), b=b, w=w, y=y)
+    mix = S * gains
+    y = mix @ b + w
+    return SystemInstance(S=S, gains=gains, sigma_w2=float(sigma_w2), b=b, w=w, y=y, mix=mix)
 
 
 def substream(master_seed: int, *keys) -> np.random.Generator:

@@ -33,7 +33,6 @@ __all__ = [
     "power_iteration",
     "lipschitz_bound",
     "fista",
-    "soft_threshold",
 ]
 
 _LIPSCHITZ_SAFETY = 1.01
@@ -161,13 +160,6 @@ def lipschitz_bound(scale: float, norm_sq: float) -> float:
     order.
     """
     return _LIPSCHITZ_SAFETY * 2.0 * scale * norm_sq
-
-
-def soft_threshold(v, gamma: float):
-    """Shrink toward zero: sign(v) * max(|v| - gamma, 0)."""
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError("gamma must be nonnegative and finite")
-    return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
 
 def fista(

@@ -240,6 +240,36 @@ def exhaustive_map_reference(B, y, sigma_w2, alphabet, probs):
     return X[int(np.argmin(values))].copy()
 
 
+def map_lattice_objective(x, B, y, sigma_w2, alphabet, probs):
+    """Exact MAP objective of the lattice vector x:
+
+    ||y - B x||^2 / (2 sigma_w2) + sum_l (log p_l) ||x - r_l 1||_0.
+
+    The prior term is N sum_l log p_l - sum_n log p(x_n), with the second
+    sum taken per symbol in user order, as ``exhaustive_map_reference`` and
+    ``detectors.exhaustive_map`` take it, so two candidates with equal
+    residuals and equal symbol probabilities tie exactly.
+    """
+    x = np.asarray(x, dtype=float)
+    alphabet = np.asarray(alphabet, dtype=float)
+    logp = np.log(np.asarray(probs, dtype=float))
+    digits = np.searchsorted(alphabet, x)
+    if x.shape != (B.shape[1],) or not np.array_equal(
+        alphabet[np.minimum(digits, alphabet.size - 1)], x
+    ):
+        raise ValueError("x must be a lattice vector with one entry per user")
+    resid = y - B @ x
+    data = float(resid @ resid) / (2.0 * sigma_w2)
+    return data + x.size * float(logp.sum()) - float(logp[digits].sum())
+
+
+def soft_threshold(v, gamma):
+    """Shrink toward zero: sign(v) * max(|v| - gamma, 0), the prox of gamma * ||x||_1."""
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be nonnegative and finite")
+    return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
+
+
 def central_difference_gradient(fun, x, h=1e-6):
     """Central finite differences of a scalar function."""
     x = np.asarray(x, dtype=float)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import exhaustive_map_reference
+from oracles import exhaustive_map_reference, map_lattice_objective, soft_threshold
 from soavmud import detectors
 from soavmud.detectors import (
     DetectorConfig,
@@ -14,7 +14,6 @@ from soavmud.detectors import (
     exhaustive_map,
     lasso,
     lmmse,
-    map_lattice_objective,
     map_soav,
     run_detector,
     threshold_map,
@@ -33,7 +32,6 @@ from soavmud.optim import (
     SolverConfig,
     fista,
     lipschitz_bound,
-    soft_threshold,
 )
 from soavmud.soav import default_offset, soav_objective, solve_weights
 
@@ -262,9 +260,10 @@ class TestExhaustiveMap:
         rng = np.random.default_rng(9)
         inst = synthesize(prior, gaussian_matrix(5, 6, rng), np.ones(6), 0.2, rng)
         result = exhaustive_map(inst, prior)
-        best = map_lattice_objective(result.decided, inst, prior)
+        args = (inst.mix, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
+        best = map_lattice_objective(result.decided, *args)
         for combo in product(prior.alphabet, repeat=6):
-            assert best <= map_lattice_objective(np.array(combo), inst, prior) + 1e-9
+            assert best <= map_lattice_objective(np.array(combo), *args) + 1e-9
 
     def test_dropping_constant_terms_keeps_argmin(self):
         # The per-candidate prior term differs from -sum_n log p(x_n) by a
@@ -283,7 +282,8 @@ class TestExhaustiveMap:
             )
 
         lattice = list(product(prior.alphabet, repeat=6))
-        full_argmin = min(lattice, key=lambda x: map_lattice_objective(np.array(x), inst, prior))
+        args = (inst.mix, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
+        full_argmin = min(lattice, key=lambda x: map_lattice_objective(np.array(x), *args))
         reduced_argmin = min(lattice, key=reduced)
         assert full_argmin == reduced_argmin
 
@@ -298,8 +298,8 @@ class TestExhaustiveMap:
     def product_argmin(inst, prior):
         """The first minimizer of map_lattice_objective over itertools.product."""
         lattice = itertools.product(prior.alphabet, repeat=inst.n_users)
-        return np.array(min(lattice, key=lambda x: map_lattice_objective(np.array(x), inst,
-                                                                        prior)))
+        args = (inst.mix, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
+        return np.array(min(lattice, key=lambda x: map_lattice_objective(np.array(x), *args)))
 
     def assert_matches_references(self, result, inst, prior):
         reference = exhaustive_map_reference(inst.mix, inst.y, inst.sigma_w2, prior.alphabet,
@@ -351,6 +351,12 @@ class TestExhaustiveMap:
                  for x in (result.decided, flipped)]
         assert terms[0][0].tobytes() == terms[1][0].tobytes()
         assert terms[0][1] == terms[1][1]
+        # The oracle objective sums its prior term in the same order, so it
+        # ties the two exactly and its first minimizer is the -1 candidate too.
+        args = (inst.mix, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
+        assert map_lattice_objective(result.decided, *args) == map_lattice_objective(flipped,
+                                                                                     *args)
+        np.testing.assert_array_equal(self.product_argmin(inst, prior), result.decided)
         reference = exhaustive_map_reference(inst.mix, inst.y, inst.sigma_w2, prior.alphabet,
                                              prior.probs)
         assert result.raw.tobytes() == reference.tobytes()

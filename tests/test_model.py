@@ -80,6 +80,31 @@ class TestDrawSymbols:
         with pytest.raises(ValueError):
             draw_symbols(bpsk_prior(0.5), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("prior", [
+        bpsk_prior(0.05),
+        bpsk_prior(0.5),
+        bpsk_prior(0.95),
+        SymbolPrior(alphabet=(-1.0, 1.0), probs=(0.3, 0.7)),
+        SymbolPrior(alphabet=(-2.0, -1.0, 0.0, 1.0, 2.0), probs=(0.1, 0.15, 0.5, 0.2, 0.05)),
+    ], ids=["rho0.05", "rho0.5", "rho0.95", "binary", "five-symbol"])
+    @pytest.mark.parametrize("n", [1, 100, 10**5])
+    def test_equals_generator_choice_bit_for_bit(self, prior, n):
+        # The inverse-CDF lookup is the algorithm Generator.choice runs: the
+        # same symbols, and the generator left in the same state.
+        ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+        drawn = draw_symbols(prior, n, ours)
+        expected = theirs.choice(prior.alphabet, size=n, p=prior.probs)
+        assert drawn.dtype == expected.dtype and drawn.tobytes() == expected.tobytes()
+        assert ours.random() == theirs.random()
+
+    def test_bpsk_prior_is_one_read_only_object_per_rho(self):
+        prior = bpsk_prior(0.3)
+        assert bpsk_prior(0.3) is prior
+        assert bpsk_prior(0.4) is not prior
+        for arr in (prior.alphabet, prior.probs, prior.cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
 
 class TestSigmaFromSnr:
     def test_reference_operating_point(self):
@@ -153,6 +178,31 @@ class TestSynthesize:
         assert inst.mix_norm_sq == inst.mix_norm_sq == real(inst.S * gains)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], inst.S * gains)
+
+    def test_mix_is_formed_once_and_read_only(self):
+        rng = np.random.default_rng(23)
+        S = gaussian_matrix(7, 12, rng)
+        gains = rng.uniform(0.5, 2.0, size=12)
+        for inst in (
+            synthesize(bpsk_prior(0.8), S, gains, 0.25, rng),
+            SystemInstance(S=S, gains=gains, sigma_w2=0.25, b=np.zeros(12), w=np.zeros(7),
+                           y=np.zeros(7)),
+        ):
+            assert inst.mix is inst.mix
+            assert inst.mix.tobytes() == (S * gains).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                inst.mix[0, 0] = 0.0
+
+    def test_given_mix_is_copied(self):
+        S = np.eye(3)
+        mix = np.eye(3)
+        inst = SystemInstance(S=S, gains=np.ones(3), sigma_w2=1.0, b=np.zeros(3),
+                              w=np.zeros(3), y=np.zeros(3), mix=mix)
+        mix[0, 0] = 5.0
+        assert inst.mix[0, 0] == 1.0 and mix.flags.writeable
+        with pytest.raises(ValueError, match="shape of S"):
+            SystemInstance(S=S, gains=np.ones(3), sigma_w2=1.0, b=np.zeros(3),
+                           w=np.zeros(3), y=np.zeros(3), mix=np.eye(2))
 
     def test_noise_covariance_matches_sigma(self):
         # Monte Carlo covariance estimate over 1e5 draws; the relative

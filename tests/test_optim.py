@@ -12,6 +12,7 @@ from oracles import (
     prox_vector_exhaustive,
     soav_objective_ref,
     soav_prox_gradient_oracle,
+    soft_threshold,
     ternary_prox_cascade,
 )
 from soavmud.model import bpsk_prior, gaussian_matrix, synthesize
@@ -23,7 +24,6 @@ from soavmud.optim import (
     gradient,
     lipschitz_bound,
     power_iteration,
-    soft_threshold,
 )
 from soavmud.soav import default_offset, solve_weights, ternary_prox
 

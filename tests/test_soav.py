@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import prox_1d_exhaustive, ternary_prox_breakpoints, ternary_prox_cascade
+from oracles import (
+    prox_1d_exhaustive,
+    soft_threshold,
+    ternary_prox_breakpoints,
+    ternary_prox_cascade,
+)
 from soavmud import soav
 from soavmud.model import SymbolPrior, bpsk_prior, gaussian_matrix, synthesize
-from soavmud.optim import soft_threshold
 from soavmud.soav import (
     SingularWeightSystemError,
     SoavWeights,
