@@ -151,24 +151,8 @@ def map_soav(
     result. A non-ternary prior raises ``UnsupportedAlphabetError`` from
     ``ternary_prox`` before the solve starts.
     """
-    weights = _map_weights(prior, config.offset)
+    weights = solve_weights(prior, default_offset(prior, config.offset))
     return _solve(instance, 1.0 / (2.0 * instance.sigma_w2), weights, config)
-
-
-def _map_weights(prior: SymbolPrior, offset: float) -> SoavWeights:
-    """map_soav's weights: ``solve_weights`` at ``default_offset(prior, offset)``.
-
-    They depend only on the prior's values and the offset, and
-    ``SoavWeights`` is read-only, so one object per value is built and
-    shared by every trial and by the CSV's weight lines.
-    """
-    return _weights_by_value(tuple(prior.alphabet.tolist()), tuple(prior.probs.tolist()), offset)
-
-
-@functools.lru_cache(maxsize=64)
-def _weights_by_value(alphabet: tuple, probs: tuple, offset: float) -> SoavWeights:
-    prior = SymbolPrior(alphabet=alphabet, probs=probs)
-    return solve_weights(prior, default_offset(prior, offset))
 
 
 @functools.lru_cache(maxsize=1)

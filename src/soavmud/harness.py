@@ -21,10 +21,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .detectors import _ENUMERATION_BOUND, DetectorConfig, _map_weights, run_detector
+from .detectors import _ENUMERATION_BOUND, DetectorConfig, run_detector
 from .model import bpsk_prior, gaussian_matrix, sigma_from_snr, substream, synthesize
 from .optim import DivergenceError, _as_float, _as_int
-from .soav import SingularWeightSystemError
+from .soav import SingularWeightSystemError, default_offset, solve_weights
 
 __all__ = [
     "ExperimentConfig",
@@ -435,7 +435,9 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
     if any(det.kind == "map_soav" for det in config.detectors):
         soav_det = next(det for det in config.detectors if det.kind == "map_soav")
         for rho in config.rho_values():
-            weights = _map_weights(bpsk_prior(rho), soav_det.offset)
+            weights = solve_weights(
+                bpsk_prior(rho), default_offset(bpsk_prior(rho), soav_det.offset)
+            )
             q_text = ",".join(_fmt(float(v)) for v in weights.q)
             lines.append(
                 f"# weights rho={_fmt(rho)}: C={_fmt(weights.c)} q=[{q_text}]"

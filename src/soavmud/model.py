@@ -12,7 +12,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -108,10 +107,9 @@ def sigma_from_snr(snr_db: float, rho: float, n_users: int, n_meas: int) -> floa
 class SystemInstance:
     """One realization of y = S A b + w.
 
-    ``mix`` is the effective mixing matrix S A, read-only and formed once.
-    It is formed here as ``S * gains`` when not given. A caller that has
-    already formed that product, as ``synthesize`` has for y, hands it over
-    instead; a given ``mix`` is trusted to be it.
+    ``mix`` is the effective mixing matrix S A, formed once here as
+    ``S * gains`` and read-only. It is not a constructor argument, so
+    ``dataclasses.replace`` forms it anew from the new S and gains.
     """
 
     S: np.ndarray        # (M, N) mixing matrix
@@ -120,7 +118,7 @@ class SystemInstance:
     b: np.ndarray        # (N,) transmitted symbols
     w: np.ndarray        # (M,) noise actually added
     y: np.ndarray        # (M,) received vector
-    mix: Optional[np.ndarray] = field(default=None, repr=False)  # (M, N) S A
+    mix: np.ndarray = field(init=False, repr=False)  # (M, N) S A
 
     def __post_init__(self):
         S = _readonly(self.S)
@@ -139,13 +137,8 @@ class SystemInstance:
             raise ValueError("w and y must have one entry per measurement")
         if not 0.0 < self.sigma_w2 < math.inf:
             raise ValueError("sigma_w2 must be positive and finite")
-        if self.mix is None:
-            mix = S * gains
-            mix.setflags(write=False)
-        else:
-            mix = _readonly(self.mix)
-        if mix.shape != (m, n):
-            raise ValueError("mix must have the shape of S")
+        mix = S * gains
+        mix.setflags(write=False)
         for name, arr in (
             ("S", S), ("gains", gains), ("b", b), ("w", w), ("y", y), ("mix", mix)
         ):
@@ -216,9 +209,8 @@ def synthesize(
         w = np.zeros(m)
     else:
         w = rng.normal(0.0, np.sqrt(sigma_w2), size=m)
-    mix = S * gains
-    y = mix @ b + w
-    return SystemInstance(S=S, gains=gains, sigma_w2=float(sigma_w2), b=b, w=w, y=y, mix=mix)
+    y = (S * gains) @ b + w
+    return SystemInstance(S=S, gains=gains, sigma_w2=float(sigma_w2), b=b, w=w, y=y)
 
 
 def substream(master_seed: int, *keys) -> np.random.Generator:

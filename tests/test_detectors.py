@@ -414,20 +414,6 @@ class TestCommonContracts:
         result = map_soav(inst, prior, config)
         assert result.diagnostics.iterations == 37
 
-    def test_weights_are_built_once_per_value(self):
-        # Cached by the prior's values and the offset: an equal prior built
-        # anew hits the cache, and the cached weights are solve_weights' bits.
-        detectors._weights_by_value.cache_clear()
-        prior = bpsk_prior(0.8)
-        weights = detectors._map_weights(prior, 10.0)
-        twin = SymbolPrior(alphabet=prior.alphabet.copy(), probs=prior.probs.copy())
-        assert detectors._map_weights(twin, 10.0) is weights
-        assert detectors._map_weights(prior, 9.0) is not weights
-        fresh = solve_weights(prior, default_offset(prior, 10.0))
-        assert weights.q.tobytes() == fresh.q.tobytes() and weights.c == fresh.c
-        info = detectors._weights_by_value.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
-
     def test_soav_solution_objective_not_worse_than_truth(self):
         prior = bpsk_prior(0.8)
         weights = solve_weights(prior, default_offset(prior))

@@ -1,5 +1,7 @@
 """Tests for symbol priors, SNR calibration, and instance synthesis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -193,16 +195,13 @@ class TestSynthesize:
             with pytest.raises(ValueError, match="read-only"):
                 inst.mix[0, 0] = 0.0
 
-    def test_given_mix_is_copied(self):
-        S = np.eye(3)
-        mix = np.eye(3)
-        inst = SystemInstance(S=S, gains=np.ones(3), sigma_w2=1.0, b=np.zeros(3),
-                              w=np.zeros(3), y=np.zeros(3), mix=mix)
-        mix[0, 0] = 5.0
-        assert inst.mix[0, 0] == 1.0 and mix.flags.writeable
-        with pytest.raises(ValueError, match="shape of S"):
-            SystemInstance(S=S, gains=np.ones(3), sigma_w2=1.0, b=np.zeros(3),
-                           w=np.zeros(3), y=np.zeros(3), mix=np.eye(2))
+    def test_replace_forms_mix_anew(self):
+        inst = SystemInstance(S=np.eye(3), gains=np.ones(3), sigma_w2=1.0, b=np.zeros(3),
+                              w=np.zeros(3), y=np.zeros(3))
+        gains = np.array([1.0, 2.0, 3.0])
+        changed = dataclasses.replace(inst, gains=gains)
+        assert changed.mix.tobytes() == np.diag(gains).tobytes()
+        assert not changed.mix.flags.writeable
 
     def test_noise_covariance_matches_sigma(self):
         # Monte Carlo covariance estimate over 1e5 draws; the relative
