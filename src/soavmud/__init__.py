@@ -42,14 +42,12 @@ from .model import (
     SymbolPrior,
     SystemInstance,
     bpsk_prior,
-    draw_symbols,
     gaussian_matrix,
     sigma_from_snr,
     substream,
     synthesize,
 )
 from .optim import (
-    DegenerateOperatorError,
     DivergenceError,
     QuadraticData,
     SolveReport,
@@ -57,16 +55,13 @@ from .optim import (
     fista,
     gradient,
     lipschitz_bound,
-    power_iteration,
 )
 from .soav import (
     SingularWeightSystemError,
     SoavWeights,
     UnsupportedAlphabetError,
-    build_weight_system,
     default_offset,
     soav_objective,
-    soav_penalty,
     solve_weights,
     ternary_prox,
 )

@@ -106,15 +106,14 @@ def lmmse(
 
     With symbol second moment m2 = E[b^2] the weight matrix is
     m2 A S^T (m2 S A^2 S^T + sigma_w2 I)^-1; for the on-off BPSK prior
-    m2 = 1 - rho. The M x M system is solved directly, no inverse is formed.
+    m2 = 1 - rho. The M x M system is built from the instance's cached Gram
+    and solved directly, no inverse is formed.
     """
     m2 = float(prior.probs @ prior.alphabet**2)
-    B = instance.mix
-    G = B @ B.T
-    G *= m2
+    G = instance.gram * m2
     # The diagonal of the C-ordered M x M matrix, as a strided view.
     G.reshape(-1)[:: G.shape[0] + 1] += instance.sigma_w2
-    raw = m2 * (B.T @ np.linalg.solve(G, instance.y))
+    raw = m2 * (instance.mix.T @ np.linalg.solve(G, instance.y))
     return DetectionResult(raw=raw, decided=threshold_map(raw, alpha))
 
 
@@ -122,11 +121,13 @@ def _solve(instance, scale, weights: SoavWeights, config: DetectorConfig) -> Det
     """Minimize scale * ||y - S A x||^2 + sum_l q_l ||x - r_l 1||_1 by fista; quantize.
 
     The prox is ``ternary_prox`` at the step gamma = 1/L. L comes from the
-    instance's cached spectral bound, so lasso and map_soav on one instance
-    share one power iteration.
+    instance's cached sigma_max(S A)^2, so lasso and map_soav on one instance
+    share one eigenvalue solve. A zero S A gives no step and raises ValueError.
     """
     data = QuadraticData(B=instance.mix, y=instance.y, scale=scale)
     L = lipschitz_bound(scale, instance.mix_norm_sq)
+    if L == 0.0:
+        raise ValueError("S A is the zero operator, so no step size bounds it")
     report = fista(data, ternary_prox(1.0 / L, weights), config.solver, lipschitz=L)
     return DetectionResult(
         raw=report.solution,

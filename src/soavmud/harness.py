@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import logging
 import math
@@ -232,6 +233,18 @@ class SweepResult:
     # A solver kind with no successful solve at this point has no entry.
 
 
+@functools.lru_cache(maxsize=1)
+def _fixed_matrix(master_seed: int, n_meas: int, n_users: int) -> np.ndarray:
+    """The S shared by every trial of a fix-matrix sweep, drawn once per process.
+
+    It comes from its own stream, so a worker that draws it anew gets the
+    same bits. The array is read-only, because every trial is handed it.
+    """
+    S = gaussian_matrix(n_meas, n_users, substream(master_seed, _MATRIX_STREAM_KEY))
+    S.setflags(write=False)
+    return S
+
+
 def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> TrialRecord:
     """Run every configured detector on one shared realization.
 
@@ -244,9 +257,7 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
         prior = bpsk_prior(rho)
         rng = substream(config.master_seed, float(axis_value), trial_index)
         if config.fix_matrix:
-            S = gaussian_matrix(
-                config.n_meas, config.n_users, substream(config.master_seed, _MATRIX_STREAM_KEY)
-            )
+            S = _fixed_matrix(config.master_seed, config.n_meas, config.n_users)
         else:
             S = gaussian_matrix(config.n_meas, config.n_users, rng)
         instance = synthesize(prior, S, np.ones(config.n_users), sigma_w2, rng)

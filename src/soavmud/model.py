@@ -3,7 +3,9 @@
 The received-signal model is ``y = S A b + w`` with ``S`` an M x N real
 mixing matrix, ``A = diag(gains)`` the per-user channel gains, ``b`` a
 vector of symbols drawn from a finite alphabet, and ``w`` i.i.d. zero-mean
-Gaussian noise of variance ``sigma_w2``.
+Gaussian noise of variance ``sigma_w2``. A ``SystemInstance`` also forms,
+on first use, the M x M Gram (S A)(S A)^T and its top eigenvalue
+sigma_max(S A)^2, from which the FISTA detectors take their step bound.
 """
 
 from __future__ import annotations
@@ -15,13 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .optim import power_iteration
-
 __all__ = [
     "SymbolPrior",
     "SystemInstance",
     "bpsk_prior",
-    "draw_symbols",
     "sigma_from_snr",
     "gaussian_matrix",
     "synthesize",
@@ -41,7 +40,7 @@ def _readonly(values, dtype=float) -> np.ndarray:
 class SymbolPrior:
     """Finite symbol alphabet r_0 < ... < r_L with occurrence probabilities.
 
-    ``cdf`` is the normalized cumulative distribution that ``draw_symbols``
+    ``cdf`` is the normalized cumulative distribution that ``_draw_symbols``
     searches, formed once here.
     """
 
@@ -109,7 +108,9 @@ class SystemInstance:
 
     ``mix`` is the effective mixing matrix S A, formed once here as
     ``S * gains`` and read-only. It is not a constructor argument, so
-    ``dataclasses.replace`` forms it anew from the new S and gains.
+    ``dataclasses.replace`` forms it anew from the new S and gains. Every
+    array must be finite: a NaN or infinite entry raises ValueError naming
+    its field.
     """
 
     S: np.ndarray        # (M, N) mixing matrix
@@ -137,12 +138,13 @@ class SystemInstance:
             raise ValueError("w and y must have one entry per measurement")
         if not 0.0 < self.sigma_w2 < math.inf:
             raise ValueError("sigma_w2 must be positive and finite")
+        for name, arr in (("S", S), ("gains", gains), ("b", b), ("w", w), ("y", y)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
         mix = S * gains
         mix.setflags(write=False)
-        for name, arr in (
-            ("S", S), ("gains", gains), ("b", b), ("w", w), ("y", y), ("mix", mix)
-        ):
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "mix", mix)
 
     @property
     def n_meas(self) -> int:
@@ -153,16 +155,28 @@ class SystemInstance:
         return int(self.S.shape[1])
 
     @cached_property
-    def mix_norm_sq(self) -> float:
-        """Power-iteration estimate of sigma_max(S A)^2, formed once.
+    def gram(self) -> np.ndarray:
+        """The M x M Gram matrix (S A)(S A)^T, formed once and read-only.
 
-        Every solver run on this instance bounds its step with it, so the
-        power iteration runs once per instance however many detectors use it.
+        lmmse builds its system from it, and ``mix_norm_sq`` is its top
+        eigenvalue, so one product serves every detector on this instance.
         """
-        return power_iteration(self.mix)
+        gram = self.mix @ self.mix.T
+        gram.setflags(write=False)
+        return gram
+
+    @cached_property
+    def mix_norm_sq(self) -> float:
+        """sigma_max(S A)^2, the top eigenvalue of ``gram``, formed once.
+
+        Every solver run on this instance bounds its step with it. It is
+        exact to rounding whatever the shape of S A: the nonzero eigenvalues
+        of the M x M Gram are those of the N x N one.
+        """
+        return float(np.linalg.eigvalsh(self.gram)[-1])
 
 
-def draw_symbols(prior: SymbolPrior, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_symbols(prior: SymbolPrior, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. symbols from the prior by inverse-CDF lookup.
 
     This is the algorithm ``rng.choice(prior.alphabet, size=n, p=prior.probs)``
@@ -204,7 +218,7 @@ def synthesize(
         raise ValueError("gains must have one entry per user")
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError("sigma_w2 must be positive and finite")
-    b = draw_symbols(prior, n, rng)
+    b = _draw_symbols(prior, n, rng)
     if noiseless:
         w = np.zeros(m)
     else:

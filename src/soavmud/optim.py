@@ -3,8 +3,9 @@
 f is the quadratic data term scale * ||y - B x||^2 and g is whatever penalty
 the supplied prox encodes. The gradient step uses a fixed 1/L step size, so
 the caller supplies an upper bound L on the Lipschitz constant of grad f:
-``lipschitz_bound`` forms it from ``power_iteration(B)``, and the prox it
-passes is that of g at the matching step gamma = 1/L.
+``lipschitz_bound`` forms it from sigma_max(B)^2, which the detectors take
+from ``SystemInstance.mix_norm_sq``, and the prox the caller passes is that
+of g at the matching step gamma = 1/L.
 
 With a fixed step, x - grad f(x) / L is the affine map H x + c, where
 H = I - a B^T B, c = a B^T y and a = 2 scale / L. ``fista`` forms H and c
@@ -27,16 +28,13 @@ __all__ = [
     "QuadraticData",
     "SolverConfig",
     "SolveReport",
-    "DegenerateOperatorError",
     "DivergenceError",
     "gradient",
-    "power_iteration",
     "lipschitz_bound",
     "fista",
 ]
 
 _LIPSCHITZ_SAFETY = 1.01
-_POWER_SEED = 0x51BB
 
 
 def _as_int(name: str, value) -> int:
@@ -51,10 +49,6 @@ def _as_float(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
-
-
-class DegenerateOperatorError(ValueError):
-    """The data operator is identically zero, so no spectral bound exists."""
 
 
 class DivergenceError(RuntimeError):
@@ -119,45 +113,14 @@ def gradient(data: QuadraticData, x) -> np.ndarray:
     return 2.0 * data.scale * (data.B.T @ (data.B @ x - data.y))
 
 
-def power_iteration(B, rel_tol: float = 1e-6, max_iters: int = 1000) -> float:
-    """Power-iteration estimate of sigma_max(B)^2, the top eigenvalue of B^T B.
-
-    Starts from a fixed pseudo-random vector, so equal matrices give equal
-    bits; it depends on B alone, so solvers that share B can share it.
-    Products use ``ndarray.dot``, as in ``fista``.
-    """
-    if not np.any(B):
-        raise DegenerateOperatorError("cannot bound the spectrum of a zero operator")
-    matvec, rmatvec = B.dot, B.T.dot
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(B.shape[1])
-    v /= np.linalg.norm(v)
-    top = 0.0
-    for _ in range(max_iters):
-        Bv = matvec(v)
-        estimate = float(Bv.dot(Bv))
-        w = rmatvec(Bv)
-        norm_w = math.sqrt(w.dot(w))
-        if norm_w == 0.0:
-            # Start vector landed in the null space; try a fresh direction.
-            v = rng.standard_normal(B.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm_w
-        if abs(estimate - top) <= rel_tol * estimate:
-            top = estimate
-            break
-        top = estimate
-    return top
-
-
 def lipschitz_bound(scale: float, norm_sq: float) -> float:
     """Upper bound L on the gradient Lipschitz constant 2 * scale * sigma_max(B)^2.
 
-    ``norm_sq`` is ``power_iteration(B)``. The 1.01 safety factor keeps a
-    slight underestimate of the spectral norm from breaking the step-size
-    condition; the product is formed as 1.01 * 2 * scale * norm_sq, in this
-    order.
+    ``norm_sq`` is sigma_max(B)^2. The product is formed as
+    1.01 * 2 * scale * norm_sq, in this order. The 1.01 safety factor once
+    covered the shortfall of a power-iteration estimate. With an exact
+    ``norm_sq`` it shortens the step by 1%, far more than rounding needs;
+    it is kept because dropping it changes the golden sweep CSVs.
     """
     return _LIPSCHITZ_SAFETY * 2.0 * scale * norm_sq
 
@@ -176,8 +139,8 @@ def fista(
             gamma = 1 / lipschitz.
         config: iteration budget and stopping tolerance.
         lipschitz: the bound L on the Lipschitz constant of grad f, e.g.
-            ``lipschitz_bound(data.scale, power_iteration(data.B))``; it
-            must be positive and finite, or ValueError is raised.
+            ``lipschitz_bound(data.scale, instance.mix_norm_sq)``; it must
+            be positive and finite, or ValueError is raised.
 
     Starts from x = 0 with unit momentum weight; each step takes a gradient
     step at the extrapolation point, applies the prox, then extrapolates for

@@ -20,10 +20,8 @@ __all__ = [
     "SoavWeights",
     "SingularWeightSystemError",
     "UnsupportedAlphabetError",
-    "build_weight_system",
     "default_offset",
     "solve_weights",
-    "soav_penalty",
     "soav_objective",
     "ternary_prox",
 ]
@@ -76,7 +74,7 @@ class SoavWeights:
         return bool(np.min(self.q) >= 0.0)
 
 
-def build_weight_system(prior: SymbolPrior, c: float):
+def _build_weight_system(prior: SymbolPrior, c: float):
     """Return (R, p_c) with R[i, j] = |r_i - r_j| and p_c[i] = sum_{l != i} log p_l + c."""
     r = prior.alphabet
     logp = np.log(prior.probs)
@@ -103,7 +101,7 @@ def solve_weights(prior: SymbolPrior, c: float) -> SoavWeights:
     A singular R, or a solution whose residual exceeds the tolerance, raises
     SingularWeightSystemError.
     """
-    R, p_c = build_weight_system(prior, c)
+    R, p_c = _build_weight_system(prior, c)
     try:
         q = np.linalg.solve(R, p_c)
     except np.linalg.LinAlgError as exc:
@@ -116,7 +114,7 @@ def solve_weights(prior: SymbolPrior, c: float) -> SoavWeights:
     return SoavWeights(q=q, c=float(c), alphabet=prior.alphabet)
 
 
-def soav_penalty(x, weights: SoavWeights) -> float:
+def _soav_penalty(x, weights: SoavWeights) -> float:
     """Penalty value sum_l q_l ||x - r_l 1||_1."""
     x = np.asarray(x, dtype=float)
     return float(np.abs(x[:, None] - weights.alphabet).sum(axis=0) @ weights.q)
@@ -129,7 +127,7 @@ def soav_objective(x, instance: SystemInstance, weights: SoavWeights) -> float:
         raise ValueError("x must have one entry per user")
     resid = instance.y - instance.mix @ x
     data = float(resid @ resid) / (2.0 * instance.sigma_w2)
-    return data + soav_penalty(x, weights)
+    return data + _soav_penalty(x, weights)
 
 
 def ternary_prox(gamma: float, weights: SoavWeights):

@@ -156,34 +156,6 @@ def ternary_prox_cascade(values, gamma, q):
     return out
 
 
-def power_iteration_lipschitz(B, scale, rel_tol=1e-6, max_iters=1000, seed=0x51BB):
-    """Power-iteration bound 1.01 * 2 * scale * sigma_max(B)^2, with np.linalg.norm.
-
-    The same start vector, stopping rule and safety factor as the library's
-    estimate, written with the straightforward norm calls, so the two must
-    agree bit for bit.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(B.shape[1])
-    v /= np.linalg.norm(v)
-    top = 0.0
-    for _ in range(max_iters):
-        Bv = B @ v
-        estimate = float(Bv @ Bv)
-        w = B.T @ Bv
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            v = rng.standard_normal(B.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm_w
-        if abs(estimate - top) <= rel_tol * estimate:
-            top = estimate
-            break
-        top = estimate
-    return 1.01 * 2.0 * scale * top
-
-
 def fista_reference(B, y, scale, prox, penalty, lipschitz, max_iters, rel_tol):
     """FISTA for scale * ||y - B x||^2 + g(x), written step by step.
 

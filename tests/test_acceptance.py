@@ -22,7 +22,6 @@ from soavmud.optim import (
     fista,
     gradient,
     lipschitz_bound,
-    power_iteration,
 )
 from soavmud.soav import SoavWeights, default_offset, solve_weights, ternary_prox
 
@@ -85,7 +84,7 @@ def test_criterion_3_solver_correctness():
         inst = synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20),
                           sigma_w2, rng)
         data = QuadraticData(B=inst.mix, y=inst.y, scale=1.0 / (2.0 * sigma_w2))
-        L = lipschitz_bound(data.scale, power_iteration(data.B))
+        L = lipschitz_bound(data.scale, inst.mix_norm_sq)
         prox = ternary_prox(1.0 / L, weights)
         # FISTA is deterministic, so a solve capped at k iterations ends at iterate k.
         solutions = [

@@ -109,7 +109,7 @@ def _run_diverging(tmp_path, entry, *flags):
         import sys
         from soavmud import cli, model
 
-        model.power_iteration = lambda B: 1e-9
+        model.SystemInstance.mix_norm_sq = property(lambda self: 1e-9)
         sys.exit(cli.main(sys.argv[1:]))
     """)
     return _run_python("-W", "ignore::RuntimeWarning", "-c", script, "simulate",

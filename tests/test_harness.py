@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine, aggregation, and CSV emission."""
 
+import functools
 import io
 import itertools
 import logging
@@ -9,8 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import power_iteration_lipschitz
-from soavmud import detectors, harness, model, optim
+from soavmud import detectors, harness, model
 from soavmud.detectors import DetectorConfig, run_detector
 from soavmud.harness import (
     ExperimentConfig,
@@ -19,8 +19,8 @@ from soavmud.harness import (
     run_sweep,
     run_trial,
 )
-from soavmud.model import bpsk_prior, substream, synthesize
-from soavmud.optim import SolverConfig, lipschitz_bound, power_iteration
+from soavmud.model import bpsk_prior, gaussian_matrix, substream, synthesize
+from soavmud.optim import SolverConfig, lipschitz_bound
 from soavmud.soav import default_offset, solve_weights
 
 
@@ -39,7 +39,27 @@ def capture_instances(monkeypatch):
 def tiny_spectral_bound(monkeypatch):
     """Make every instance's spectral bound 1e-9, so each solve's step is far
     too long and its iterates diverge."""
-    monkeypatch.setattr(model, "power_iteration", lambda B: 1e-9)
+    monkeypatch.setattr(model.SystemInstance, "mix_norm_sq", property(lambda self: 1e-9))
+
+
+def count_spectral_work(monkeypatch):
+    """Lists of the instances whose Gram is formed and of the eigvalsh inputs, from now on."""
+    grams, eigs = [], []
+    real_gram, real_eigvalsh = model.SystemInstance.gram.func, np.linalg.eigvalsh
+
+    def gram(self):
+        grams.append(self)
+        return real_gram(self)
+
+    def eigvalsh(a, *args, **kwargs):
+        eigs.append(a)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    counting = functools.cached_property(gram)
+    counting.__set_name__(model.SystemInstance, "gram")
+    monkeypatch.setattr(model.SystemInstance, "gram", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return grams, eigs
 
 
 def small_config(**overrides):
@@ -212,17 +232,31 @@ class TestRunTrial:
         # Still deterministic in fixed mode.
         assert run_trial(fixed, 10.0, 1) == run_trial(fixed, 10.0, 1)
 
-    def test_one_power_iteration_per_trial_with_oracle_bits(self, monkeypatch):
+    def test_fixed_matrix_is_drawn_once_per_process(self, monkeypatch):
+        harness._fixed_matrix.cache_clear()
+        draws = []
+
+        def counting(m, n, rng):
+            draws.append((m, n))
+            return gaussian_matrix(m, n, rng)
+
+        monkeypatch.setattr(harness, "gaussian_matrix", counting)
         made = capture_instances(monkeypatch)
-        power_calls = []
-        real_power = optim.power_iteration
+        cfg = small_config(fix_matrix=True)
+        for axis_value in (10.0, 14.0):
+            for i in range(3):
+                run_trial(cfg, axis_value, i)
+        assert draws == [(cfg.n_meas, cfg.n_users)]
+        # The bits of a fresh draw from the matrix stream, substream(seed, 0).
+        fresh = gaussian_matrix(cfg.n_meas, cfg.n_users, substream(cfg.master_seed, 0))
+        shared = harness._fixed_matrix(cfg.master_seed, cfg.n_meas, cfg.n_users)
+        assert shared.tobytes() == fresh.tobytes()
+        assert len(made) == 6
+        assert all(inst.S.tobytes() == fresh.tobytes() for inst in made)
 
-        def counting_power(B, *args, **kwargs):
-            power_calls.append(B)
-            return real_power(B, *args, **kwargs)
-
-        monkeypatch.setattr(model, "power_iteration", counting_power)
-        monkeypatch.setattr(optim, "power_iteration", counting_power)
+    def test_one_gram_and_eigvalsh_per_trial(self, monkeypatch):
+        made = capture_instances(monkeypatch)
+        grams, eigs = count_spectral_work(monkeypatch)
         bounds = []  # (scale, L) for every L that a detector forms
         real_bound = detectors.lipschitz_bound
 
@@ -233,18 +267,19 @@ class TestRunTrial:
         monkeypatch.setattr(detectors, "lipschitz_bound", recording_bound)
         cfg = ExperimentConfig(
             n_users=100, n_meas=70, trials=1, rho=0.8, snr_db=12.0, master_seed=9,
-            detectors=(DetectorConfig(kind="lasso"), DetectorConfig(kind="map_soav")),
+            detectors=tuple(DetectorConfig(kind=k) for k in ("lmmse", "lasso", "map_soav")),
         )
         run_trial(cfg, 12.0, 0)
         (inst,) = made
-        assert len(power_calls) == 1
+        # lmmse, lasso and map_soav share one Gram and one eigenvalue solve.
+        assert grams == [inst]
+        assert len(eigs) == 1 and eigs[0] is inst.gram
         scales = [30.0, 1.0 / (2.0 * inst.sigma_w2)]
         assert [scale for scale, _ in bounds] == scales
+        top = float(np.linalg.eigvalsh(inst.mix @ inst.mix.T)[-1])
         for scale, L in bounds:
-            expected = lipschitz_bound(scale, power_iteration(inst.mix))
-            oracle = power_iteration_lipschitz(inst.mix, scale)
+            expected = lipschitz_bound(scale, top)
             assert np.float64(L).view(np.uint64) == np.float64(expected).view(np.uint64)
-            assert np.float64(L).view(np.uint64) == np.float64(oracle).view(np.uint64)
 
     def test_error_counts_bounded_by_users(self):
         cfg = small_config()

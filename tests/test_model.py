@@ -1,6 +1,7 @@
 """Tests for symbol priors, SNR calibration, and instance synthesis."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from soavmud import model
 from soavmud.model import (
     SymbolPrior,
     SystemInstance,
+    _draw_symbols,
     bpsk_prior,
-    draw_symbols,
     gaussian_matrix,
     sigma_from_snr,
     substream,
@@ -49,38 +50,38 @@ class TestDrawSymbols:
         # prior valid while every draw still lands on r_L.
         eps = 1e-13
         prior = SymbolPrior(alphabet=(-1.0, 1.0), probs=(eps, 1.0 - eps))
-        symbols = draw_symbols(prior, 1000, np.random.default_rng(0))
+        symbols = _draw_symbols(prior, 1000, np.random.default_rng(0))
         assert np.all(symbols == 1.0)
 
     def test_zero_fraction_matches_rho(self):
         # Law of large numbers: 3-sigma binomial band at n = 1e6 is 0.0012.
         prior = bpsk_prior(0.8)
-        symbols = draw_symbols(prior, 10**6, np.random.default_rng(123))
+        symbols = _draw_symbols(prior, 10**6, np.random.default_rng(123))
         assert abs(np.mean(symbols == 0.0) - 0.8) < 0.002
 
     def test_active_fractions_match_rho(self):
         prior = bpsk_prior(0.05)
-        symbols = draw_symbols(prior, 10**6, np.random.default_rng(124))
+        symbols = _draw_symbols(prior, 10**6, np.random.default_rng(124))
         assert abs(np.mean(symbols == 1.0) - 0.475) < 0.002
         assert abs(np.mean(symbols == -1.0) - 0.475) < 0.002
 
     def test_chi_square_goodness_of_fit(self):
         prior = bpsk_prior(0.3)
         n = 10**6
-        symbols = draw_symbols(prior, n, np.random.default_rng(125))
+        symbols = _draw_symbols(prior, n, np.random.default_rng(125))
         observed = [np.count_nonzero(symbols == r) for r in prior.alphabet]
         _, p_value = stats.chisquare(observed, f_exp=prior.probs * n)
         assert p_value > 0.001
 
     def test_deterministic_given_stream(self):
         prior = bpsk_prior(0.5)
-        a = draw_symbols(prior, 100, np.random.default_rng(7))
-        b = draw_symbols(prior, 100, np.random.default_rng(7))
+        a = _draw_symbols(prior, 100, np.random.default_rng(7))
+        b = _draw_symbols(prior, 100, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
-            draw_symbols(bpsk_prior(0.5), 0, np.random.default_rng(0))
+            _draw_symbols(bpsk_prior(0.5), 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("prior", [
         bpsk_prior(0.05),
@@ -94,7 +95,7 @@ class TestDrawSymbols:
         # The inverse-CDF lookup is the algorithm Generator.choice runs: the
         # same symbols, and the generator left in the same state.
         ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
-        drawn = draw_symbols(prior, n, ours)
+        drawn = _draw_symbols(prior, n, ours)
         expected = theirs.choice(prior.alphabet, size=n, p=prior.probs)
         assert drawn.dtype == expected.dtype and drawn.tobytes() == expected.tobytes()
         assert ours.random() == theirs.random()
@@ -166,20 +167,32 @@ class TestSynthesize:
         assert np.linalg.norm(residual) == 0.0
 
     def test_spectral_bound_is_formed_once(self, monkeypatch):
-        calls = []
-        real = model.power_iteration
+        grams, eigs = [], []
+        real_gram, real_eigvalsh = SystemInstance.gram.func, np.linalg.eigvalsh
 
-        def counting(B, *args, **kwargs):
-            calls.append(B)
-            return real(B, *args, **kwargs)
+        def gram(self):
+            grams.append(self)
+            return real_gram(self)
 
-        monkeypatch.setattr(model, "power_iteration", counting)
+        def eigvalsh(a, *args, **kwargs):
+            eigs.append(a)
+            return real_eigvalsh(a, *args, **kwargs)
+
+        counting = functools.cached_property(gram)
+        counting.__set_name__(SystemInstance, "gram")
+        monkeypatch.setattr(SystemInstance, "gram", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         rng = np.random.default_rng(22)
         gains = rng.uniform(0.5, 2.0, size=12)
         inst = synthesize(bpsk_prior(0.8), gaussian_matrix(7, 12, rng), gains, 0.25, rng)
-        assert inst.mix_norm_sq == inst.mix_norm_sq == real(inst.S * gains)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], inst.S * gains)
+        mix = inst.S * gains
+        assert inst.mix_norm_sq == inst.mix_norm_sq == float(real_eigvalsh(mix @ mix.T)[-1])
+        assert inst.gram is inst.gram
+        assert grams == [inst]
+        assert len(eigs) == 1 and eigs[0] is inst.gram
+        assert inst.gram.tobytes() == (mix @ mix.T).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            inst.gram[0, 0] = 0.0
 
     def test_mix_is_formed_once_and_read_only(self):
         rng = np.random.default_rng(23)
@@ -237,6 +250,61 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="sigma_w2"):
             SystemInstance(S=np.eye(4), gains=np.ones(4), sigma_w2=sigma_w2,
                            b=np.ones(4), w=np.zeros(4), y=np.ones(4))
+
+
+def instance_of(S, gains=None):
+    """A SystemInstance on S with zero symbols, noise and measurements."""
+    S = np.asarray(S, dtype=float)
+    m, n = S.shape
+    gains = np.ones(n) if gains is None else gains
+    return SystemInstance(S=S, gains=gains, sigma_w2=1.0, b=np.zeros(n), w=np.zeros(m),
+                          y=np.zeros(m))
+
+
+class TestSpectralBound:
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(40)
+        repeated = rng.standard_normal((6, 10))
+        repeated[3] = repeated[5] = repeated[1]
+        zero_gain = rng.uniform(0.5, 2.0, size=10)
+        zero_gain[4] = 0.0
+        return {
+            "wide": (rng.standard_normal((70, 100)), None),
+            "tall": (rng.standard_normal((100, 70)), None),
+            "repeated-rows": (repeated, None),
+            "zero-gain": (rng.standard_normal((6, 10)), zero_gain),
+            "1x1": (rng.standard_normal((1, 1)), None),
+        }
+
+    @pytest.mark.parametrize("kind", ["wide", "tall", "repeated-rows", "zero-gain", "1x1"])
+    def test_mix_norm_sq_matches_svd(self, kind):
+        S, gains = self.matrices()[kind]
+        inst = instance_of(S, gains)
+        exact = np.linalg.svd(inst.mix, compute_uv=False)[0] ** 2
+        assert abs(inst.mix_norm_sq - exact) <= 1e-12 * exact
+
+    def test_zero_operator_has_zero_bound(self):
+        assert instance_of(np.ones((3, 4)), np.zeros(4)).mix_norm_sq == 0.0
+
+
+class TestNonFiniteInputs:
+    FIELDS = {"S": (3, 4), "gains": (4,), "b": (4,), "w": (3,), "y": (3,)}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_each_field_rejects_a_non_finite_entry(self, name, bad):
+        arrays = {field: np.ones(shape) for field, shape in self.FIELDS.items()}
+        arrays[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SystemInstance(sigma_w2=1.0, **arrays)
+
+    def test_synthesize_rejects_a_nan_gain(self):
+        # A NaN gain makes y NaN; lmmse used to decide all zeros on it.
+        gains = np.ones(4)
+        gains[2] = np.nan
+        with pytest.raises(ValueError, match="gains must be finite"):
+            synthesize(bpsk_prior(0.5), np.eye(4), gains, 0.1, np.random.default_rng(0))
 
 
 class TestGaussianMatrix:

@@ -8,22 +8,20 @@ import pytest
 from oracles import (
     central_difference_gradient,
     fista_reference,
-    power_iteration_lipschitz,
     prox_vector_exhaustive,
     soav_objective_ref,
     soav_prox_gradient_oracle,
     soft_threshold,
     ternary_prox_cascade,
 )
-from soavmud.model import bpsk_prior, gaussian_matrix, synthesize
+from soavmud.detectors import DetectorConfig, lasso, map_soav
+from soavmud.model import SystemInstance, bpsk_prior, gaussian_matrix, synthesize
 from soavmud.optim import (
-    DegenerateOperatorError,
     QuadraticData,
     SolverConfig,
     fista,
     gradient,
     lipschitz_bound,
-    power_iteration,
 )
 from soavmud.soav import default_offset, solve_weights, ternary_prox
 
@@ -42,8 +40,16 @@ def make_soav_problem(seed, n=20, m=14, rho=0.8, snr_db=8.0):
 
 
 def spectral_lipschitz(data):
-    """The bound L the detectors use: formed from the power iteration of B."""
-    return lipschitz_bound(data.scale, power_iteration(data.B))
+    """The bound L the detectors use: formed from the ``mix_norm_sq`` of B."""
+    m, n = data.B.shape
+    inst = SystemInstance(S=data.B, gains=np.ones(n), sigma_w2=1.0, b=np.zeros(n),
+                          w=np.zeros(m), y=data.y)
+    return lipschitz_bound(data.scale, inst.mix_norm_sq)
+
+
+def norm_lipschitz(B, scale):
+    """Some valid L for a reference loop: 1.01 * 2 * scale * ||B||_2^2 by np.linalg.norm."""
+    return 1.01 * 2 * scale * np.linalg.norm(B, 2) ** 2
 
 
 def solve(data, prox_at, config, lipschitz=None):
@@ -150,20 +156,15 @@ class TestEstimateLipschitz:
         assert exact <= estimate <= 1.011 * exact
 
     def test_zero_operator_rejected(self):
-        data = QuadraticData(B=np.zeros((3, 3)), y=np.zeros(3), scale=1.0)
-        with pytest.raises(DegenerateOperatorError):
-            spectral_lipschitz(data)
-
-    @pytest.mark.parametrize("scale", [30.0, 0.25, 1.0 / (2.0 * 0.0226)])
-    def test_oracle_bits_from_the_shared_power_iteration(self, scale):
-        # The power iteration does not depend on scale, so one estimate per
-        # matrix serves every scale with the bits of the full computation.
-        B = np.random.default_rng(21).standard_normal((70, 100))
-        data = QuadraticData(B=B, y=np.zeros(70), scale=scale)
-        expected = power_iteration_lipschitz(B, scale)
-        assert np.float64(spectral_lipschitz(data)).view(np.uint64) == np.float64(
-            expected).view(np.uint64)
-        assert power_iteration(B) == power_iteration(B.copy())
+        # All gains zero: S A = 0 has no spectral bound, so no step exists.
+        inst = SystemInstance(S=np.ones((3, 3)), gains=np.zeros(3), sigma_w2=1.0,
+                              b=np.zeros(3), w=np.zeros(3), y=np.zeros(3))
+        assert inst.mix_norm_sq == 0.0
+        prior = bpsk_prior(0.8)
+        with pytest.raises(ValueError, match="zero operator"):
+            lasso(inst, DetectorConfig(kind="lasso"))
+        with pytest.raises(ValueError, match="zero operator"):
+            map_soav(inst, prior, DetectorConfig(kind="map_soav"))
 
 
 class TestSoftThreshold:
@@ -375,10 +376,10 @@ class TestMemoryLayout:
             y = B @ rng.choice([-1.0, 0.0, 1.0], B.shape[1]) + 0.1 * rng.standard_normal(70)
             data = QuadraticData(B=B, y=y, scale=30.0)
             config = SolverConfig(max_iters=100, rel_tol=0.0)
-            report = solve(data, soft_threshold_at, config)
+            L = norm_lipschitz(B, 30.0)
+            report = solve(data, soft_threshold_at, config, L)
             x, iterations, _ = fista_reference(
-                B, y, 30.0, soft_threshold, lambda _x: 0.0,
-                power_iteration_lipschitz(B, 30.0), 100, 0.0,
+                B, y, 30.0, soft_threshold, lambda _x: 0.0, L, 100, 0.0,
             )
             assert report.iterations == iterations == 100
             if self.contiguous(B):
@@ -394,11 +395,11 @@ class TestFistaMatchesReferenceLoop:
 
     @staticmethod
     def assert_same_solve(data, prox_at, config, ref_prox):
-        # solve forms L from the library's power iteration, so that is compared too.
-        report = solve(data, prox_at, config)
+        L = norm_lipschitz(data.B, data.scale)
+        report = solve(data, prox_at, config, L)
         x, iterations, _ = fista_reference(
             data.B, data.y, data.scale, ref_prox, lambda _x: 0.0,
-            power_iteration_lipschitz(data.B, data.scale), config.max_iters, config.rel_tol,
+            L, config.max_iters, config.rel_tol,
         )
         np.testing.assert_array_equal(report.solution.view(np.uint64), x.view(np.uint64))
         assert report.iterations == iterations

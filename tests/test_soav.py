@@ -15,10 +15,10 @@ from soavmud.soav import (
     SingularWeightSystemError,
     SoavWeights,
     UnsupportedAlphabetError,
-    build_weight_system,
+    _build_weight_system,
+    _soav_penalty,
     default_offset,
     soav_objective,
-    soav_penalty,
     solve_weights,
     ternary_prox,
 )
@@ -32,17 +32,17 @@ def ternary_weights(q):
 
 class TestWeightSystem:
     def test_distance_matrix_for_ternary_alphabet(self):
-        R, _ = build_weight_system(bpsk_prior(0.5), 1.0)
+        R, _ = _build_weight_system(bpsk_prior(0.5), 1.0)
         np.testing.assert_array_equal(R, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
     def test_rhs_at_reference_offset(self):
         # Log arithmetic for rho = 0.8 with the literal printed constant.
-        _, p_c = build_weight_system(bpsk_prior(0.8), 14.6052)
+        _, p_c = _build_weight_system(bpsk_prior(0.8), 14.6052)
         np.testing.assert_allclose(p_c, [12.0795, 10.0000, 12.0795], atol=5e-5)
 
     def test_uniform_prior_cancels_exactly(self):
         prior = SymbolPrior(alphabet=TERNARY, probs=(1 / 3, 1 / 3, 1 / 3))
-        _, p_c = build_weight_system(prior, 2.0 * np.log(3.0))
+        _, p_c = _build_weight_system(prior, 2.0 * np.log(3.0))
         np.testing.assert_allclose(p_c, np.zeros(3), atol=1e-12)
 
 
@@ -78,7 +78,7 @@ class TestSolveWeights:
         for rho in (0.05, 0.3, 0.8, 0.95):
             prior = bpsk_prior(rho)
             c = default_offset(prior)
-            R, p_c = build_weight_system(prior, c)
+            R, p_c = _build_weight_system(prior, c)
             weights = solve_weights(prior, c)
             assert np.max(np.abs(R @ weights.q - p_c)) < 1e-9
 
@@ -122,7 +122,7 @@ class TestSolveWeights:
         # A strictly increasing alphabet always gives a regular R (the matrix
         # of a Euclidean distance), so a zero R stands in for a singular one.
         monkeypatch.setattr(
-            soav, "build_weight_system", lambda prior, c: (np.zeros((3, 3)), np.ones(3))
+            soav, "_build_weight_system", lambda prior, c: (np.zeros((3, 3)), np.ones(3))
         )
         with pytest.raises(SingularWeightSystemError, match="weight system is singular"):
             solve_weights(bpsk_prior(0.8), 14.0)
@@ -141,7 +141,7 @@ class TestSoavObjective:
         inst = synthesize(prior, gaussian_matrix(7, 10, rng), np.ones(10), 0.5,
                           rng, noiseless=True)
         value = soav_objective(inst.b, inst, weights)
-        assert value == pytest.approx(soav_penalty(inst.b, weights))
+        assert value == pytest.approx(_soav_penalty(inst.b, weights))
 
     def test_hand_evaluated_l1_terms(self):
         prior = bpsk_prior(0.5)
@@ -159,7 +159,7 @@ class TestSoavObjective:
         rng = np.random.default_rng(5)
         inst = synthesize(prior, gaussian_matrix(6, 9, rng), np.ones(9), 0.2, rng)
         x = rng.standard_normal(9)
-        pen = soav_penalty(x, weights)
+        pen = _soav_penalty(x, weights)
         base = soav_objective(x, inst, weights) - pen
         doubled = type(inst)(S=inst.S, gains=inst.gains, sigma_w2=0.4,
                              b=inst.b, w=inst.w, y=inst.y)
