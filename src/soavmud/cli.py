@@ -201,7 +201,9 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict):
     parser.add_argument("--max-iters", dest="max_iters", type=int,
                         help=f"solver iteration cap {shown('max_iters')}")
     parser.add_argument("--rel-tol", dest="rel_tol", type=float,
-                        help=f"solver stopping tolerance {shown('rel_tol')}")
+                        help=f"solver stopping tolerance {shown('rel_tol')}: on the"
+                        " fixed-point residual for convex problems (ADMM), on the relative"
+                        " step for nonconvex map-soav (FISTA); 0 runs every iteration")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
 
 

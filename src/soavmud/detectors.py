@@ -5,8 +5,9 @@ ternary decision. The continuous detectors share the same quantizer
 ``threshold_map`` so their error ratios are directly comparable.
 
 LASSO is SOAV with weights q = (0, 1, 0), whose penalty is ||x||_1, so both
-FISTA detectors run the closed-form ternary prox and differ only in
-(scale, weights).
+solver detectors run the closed-form ternary prox and differ only in
+(scale, weights). A convex problem, lasso always and map_soav when its
+weights are nonnegative, runs ``admm``; a nonconvex map_soav runs ``fista``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from typing import Optional
 import numpy as np
 
 from .model import SymbolPrior, SystemInstance
-from .optim import QuadraticData, SolveReport, SolverConfig, _as_float, fista, lipschitz_bound
+from .optim import (
+    QuadraticData,
+    SolveReport,
+    SolverConfig,
+    _as_float,
+    admm,
+    fista,
+    lipschitz_bound,
+)
 from .soav import SoavWeights, default_offset, solve_weights, ternary_prox
 
 __all__ = [
@@ -74,7 +83,7 @@ class DetectorConfig:
 
 @dataclass(frozen=True, eq=False)
 class DetectionResult:
-    """Continuous estimate, hard decision, and the FISTA report.
+    """Continuous estimate, hard decision, and the solver report.
 
     ``diagnostics`` is None for the closed-form and enumerating detectors.
     """
@@ -118,17 +127,23 @@ def lmmse(
 
 
 def _solve(instance, scale, weights: SoavWeights, config: DetectorConfig) -> DetectionResult:
-    """Minimize scale * ||y - S A x||^2 + sum_l q_l ||x - r_l 1||_1 by fista; quantize.
+    """Minimize scale * ||y - S A x||^2 + sum_l q_l ||x - r_l 1||_1; quantize.
 
-    The prox is ``ternary_prox`` at the step gamma = 1/L. L comes from the
+    Convex weights run ``admm`` on the instance's cached factor, nonconvex
+    ones ``fista``; both with the prox ``ternary_prox``. L comes from the
     instance's cached sigma_max(S A)^2, so lasso and map_soav on one instance
-    share one eigenvalue solve. A zero S A gives no step and raises ValueError.
+    share one eigenvalue solve and one ADMM factor. A zero S A gives no step
+    and raises ValueError.
     """
     data = QuadraticData(B=instance.mix, y=instance.y, scale=scale)
     L = lipschitz_bound(scale, instance.mix_norm_sq)
     if L == 0.0:
         raise ValueError("S A is the zero operator, so no step size bounds it")
-    report = fista(data, ternary_prox(1.0 / L, weights), config.solver, lipschitz=L)
+    if weights.convex:
+        report = admm(data, functools.partial(ternary_prox, weights=weights), config.solver,
+                      L, instance.admm_factor, instance.admm_ridge)
+    else:
+        report = fista(data, ternary_prox(1.0 / L, weights), config.solver, lipschitz=L)
     return DetectionResult(
         raw=report.solution,
         decided=threshold_map(report.solution, config.alpha),
@@ -147,9 +162,10 @@ def map_soav(
     """SOAV-regularized MAP detector.
 
     Calibrates the penalty weights from the prior, then minimizes
-    ||y - S A x||^2 / (2 sigma_w2) + sum_l q_l ||x - r_l 1||_1 by accelerated
-    proximal gradient with the closed-form ternary prox, and quantizes the
-    result. A non-ternary prior raises ``UnsupportedAlphabetError`` from
+    ||y - S A x||^2 / (2 sigma_w2) + sum_l q_l ||x - r_l 1||_1 with the
+    closed-form ternary prox, by ADMM when the weights are convex and by
+    accelerated proximal gradient otherwise, and quantizes the result. A
+    non-ternary prior raises ``UnsupportedAlphabetError`` from
     ``ternary_prox`` before the solve starts.
     """
     weights = solve_weights(prior, default_offset(prior, config.offset))

@@ -216,7 +216,7 @@ class TrialRecord:
 
     error_counts: dict      # detector kind -> int, or None when the detector failed
     failure_reasons: dict   # detector kind -> message, only for failed detectors
-    solves: dict            # detector kind -> (iterations, converged), solver runs only
+    solves: dict            # detector kind -> (iterations, converged, residual), solver runs only
 
 
 @dataclass(frozen=True)
@@ -230,6 +230,7 @@ class SweepResult:
     config: ExperimentConfig
     mean_iterations: dict  # solver kind -> mean iterations of its successful solves
     cap_hits: dict         # solver kind -> solves that stopped at max_iters unconverged
+    median_residuals: dict  # solver kind -> median fixed-point residual of its solves
     # A solver kind with no successful solve at this point has no entry.
 
 
@@ -276,7 +277,7 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
             counts[det.kind] = int(np.count_nonzero(result.decided != instance.b))
             report = result.diagnostics
             if report is not None:
-                solves[det.kind] = (report.iterations, report.converged)
+                solves[det.kind] = (report.iterations, report.converged, report.residual)
         return TrialRecord(error_counts=counts, failure_reasons=reasons, solves=solves)
     except Exception as exc:
         raise TrialError(
@@ -286,12 +287,20 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
 
 
 def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepResult:
-    means, std_errs, failures, mean_iterations, cap_hits = {}, {}, {}, {}, {}
+    means, std_errs, failures = {}, {}, {}
+    mean_iterations, cap_hits, median_residuals = {}, {}, {}
     for det in config.detectors:
         solves = [rec.solves[det.kind] for rec in records if det.kind in rec.solves]
         if solves:
-            mean_iterations[det.kind] = sum(n for n, _ in solves) / len(solves)
-            cap_hits[det.kind] = sum(1 for _, done in solves if not done)
+            mean_iterations[det.kind] = sum(n for n, _, _ in solves) / len(solves)
+            cap_hits[det.kind] = sum(1 for _, done, _ in solves if not done)
+            # Not np.median: its first call imports numpy.ma, 2 MiB of peak RSS.
+            residuals = sorted(r for _, _, r in solves)
+            half = len(residuals) // 2
+            median_residuals[det.kind] = (
+                residuals[half] if len(residuals) % 2
+                else 0.5 * (residuals[half - 1] + residuals[half])
+            )
         ratios = np.array(
             [
                 rec.error_counts[det.kind] / config.n_users
@@ -318,6 +327,7 @@ def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepRes
         config=config,
         mean_iterations=mean_iterations,
         cap_hits=cap_hits,
+        median_residuals=median_residuals,
     )
 
 
@@ -458,14 +468,16 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
         for kind, count in res.failures.items():
             if count:
                 lines.append(f"# failures {config.axis}={_fmt(res.axis_value)} {kind}: {count}")
-    # Iteration counts and cap hits depend only on the trials, never on the
-    # worker count, so these lines keep the output byte-identical too.
+    # Iteration counts, cap hits and residuals depend only on the trials, never
+    # on the worker count, so these lines keep the output byte-identical too.
+    # The residual gets two digits: enough for its order of magnitude.
     for res in results:
         for kind, mean in res.mean_iterations.items():
             solves = config.trials - res.failures[kind]
             lines.append(
                 f"# solver {config.axis}={_fmt(res.axis_value)} {kind}:"
                 f" mean_iterations={_fmt(mean)} cap_hits={res.cap_hits[kind]}/{solves}"
+                f" median_residual={res.median_residuals[kind]:.2g}"
             )
     return lines
 
@@ -476,8 +488,9 @@ def emit_csv(results, destination) -> None:
     Columns: axis,axis_value,detector,trials,error_ratio,std_err,master_seed.
     The trials column counts the trials actually averaged (failed trials are
     excluded and reported in the metadata). For lasso and map_soav the
-    metadata also gives, per axis point, the mean solver iterations and how
-    many solves hit the iteration cap without converging.
+    metadata also gives, per axis point, the mean solver iterations, how
+    many solves hit the iteration cap without converging, and the median
+    fixed-point residual of the estimates.
     """
     if not results:
         raise ValueError("no results to emit")

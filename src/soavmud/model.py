@@ -4,8 +4,9 @@ The received-signal model is ``y = S A b + w`` with ``S`` an M x N real
 mixing matrix, ``A = diag(gains)`` the per-user channel gains, ``b`` a
 vector of symbols drawn from a finite alphabet, and ``w`` i.i.d. zero-mean
 Gaussian noise of variance ``sigma_w2``. A ``SystemInstance`` also forms,
-on first use, the M x M Gram (S A)(S A)^T and its top eigenvalue
-sigma_max(S A)^2, from which the FISTA detectors take their step bound.
+on first use, the M x M Gram (S A)(S A)^T, its top eigenvalue
+sigma_max(S A)^2, from which the solvers take their step bound, and the
+N x N factor of ADMM's x-update.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+# ADMM's ridge mu as a share of sigma_max(S A)^2.
+_ADMM_RIDGE_SHARE = 0.005
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -174,6 +177,25 @@ class SystemInstance:
         of the M x M Gram are those of the N x N one.
         """
         return float(np.linalg.eigvalsh(self.gram)[-1])
+
+    @property
+    def admm_ridge(self) -> float:
+        """ADMM's ridge mu = 0.005 sigma_max(S A)^2, with which ``admm_factor`` is formed."""
+        return _ADMM_RIDGE_SHARE * self.mix_norm_sq
+
+    @cached_property
+    def admm_factor(self) -> np.ndarray:
+        """The N x N W = I - (S A)^T (mu I + G)^-1 (S A), G = ``gram``, formed once and read-only.
+
+        W / mu is (G' + mu I)^-1 for the N x N Gram G' = (S A)^T (S A), so it
+        gives ADMM's x-update at any scale of the quadratic term: lasso and
+        map_soav on this instance share it. Formed by one solve of the M x M
+        system with N right-hand sides and one N x N product.
+        """
+        ridged = self.gram + self.admm_ridge * np.identity(self.n_meas)
+        factor = np.identity(self.n_users) - self.mix.T @ np.linalg.solve(ridged, self.mix)
+        factor.setflags(write=False)
+        return factor
 
 
 def _draw_symbols(prior: SymbolPrior, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -97,14 +97,15 @@ def _config_of(monkeypatch, argv):
 
 
 def _run_diverging(tmp_path, entry, *flags):
-    """Run ``simulate`` with every lasso solve diverging, in a fresh interpreter.
+    """Run ``simulate`` with every map_soav solve diverging, in a fresh interpreter.
 
     In a fresh interpreter, because pytest's log capture would replace the
-    last-resort handler that prints the warnings when no logging is set up. A
-    spectral bound of 1e-9 makes the step far too long, so every solve diverges.
+    last-resort handler that prints the warnings when no logging is set up. At
+    rho 0.2 the SOAV weights are nonconvex, so map_soav runs FISTA, and a
+    spectral bound of 1e-9 makes its step far too long: every solve diverges.
     """
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({"detectors": [{"kind": "lasso", **entry}]}))
+    path.write_text(json.dumps({"detectors": [{"kind": "map_soav", **entry}]}))
     script = textwrap.dedent("""
         import sys
         from soavmud import cli, model
@@ -114,11 +115,11 @@ def _run_diverging(tmp_path, entry, *flags):
     """)
     return _run_python("-W", "ignore::RuntimeWarning", "-c", script, "simulate",
                        "--config", str(path), "--users", "8", "--meas", "6", "--seed", "3",
-                       *flags)
+                       "--rho", "0.2", *flags)
 
 
 def _divergence_warning(trial):
-    return (f"trial {trial} at snr_db=12.0: detector lasso failed (solver produced a"
+    return (f"trial {trial} at snr_db=12.0: detector map_soav failed (solver produced a"
             " non-finite iterate; the Lipschitz bound is too small)\n")
 
 
@@ -152,7 +153,7 @@ class TestWorkers:
         assert sorted(proc.stderr.splitlines(keepends=True)) == [
             _divergence_warning(i) for i in range(4)
         ]
-        assert "# failures snr_db=12 lasso: 4\n" in proc.stdout
+        assert "# failures snr_db=12 map_soav: 4\n" in proc.stdout
 
 
 class TestCommands:
@@ -418,7 +419,7 @@ class TestCommands:
         proc = _run_diverging(tmp_path, entry, "--trials", "2", "--parallelism", "1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "".join(_divergence_warning(i) for i in range(2))
-        assert "# failures snr_db=12 lasso: 2\n" in proc.stdout
+        assert "# failures snr_db=12 map_soav: 2\n" in proc.stdout
 
     def test_failing_trial_is_named(self, monkeypatch, capsys):
         calls = []

@@ -30,10 +30,11 @@ from soavmud.model import (
 from soavmud.optim import (
     QuadraticData,
     SolverConfig,
+    admm,
     fista,
     lipschitz_bound,
 )
-from soavmud.soav import default_offset, soav_objective, solve_weights
+from soavmud.soav import default_offset, soav_objective, solve_weights, ternary_prox
 
 BINARY = SymbolPrior(alphabet=(-1.0, 1.0), probs=(0.5, 0.5))  # rho -> 0 limit
 
@@ -147,13 +148,15 @@ def sweep_instance(seed, axis_value, trial, rho, snr_db, n=100, m=70):
 
 
 class TestLassoIsSoftThresholdFista:
-    """lasso runs the ternary prox with q = (0, 1, 0); it must solve as the soft threshold does."""
+    """lasso runs ADMM with the ternary prox at q = (0, 1, 0); it must solve as
+    ADMM with the soft threshold does."""
 
     @staticmethod
     def soft_threshold_solve(inst, config):
         L = lipschitz_bound(config.lam, inst.mix_norm_sq)
         data = QuadraticData(B=inst.mix, y=inst.y, scale=config.lam)
-        return fista(data, lambda z: soft_threshold(z, 1.0 / L), config.solver, lipschitz=L)
+        return admm(data, lambda gamma: lambda z: soft_threshold(z, gamma), config.solver,
+                    L, inst.admm_factor, inst.admm_ridge)
 
     def assert_same_solve(self, inst, config):
         result = lasso(inst, config)
@@ -162,6 +165,7 @@ class TestLassoIsSoftThresholdFista:
         np.testing.assert_array_equal(result.raw, ref.solution)
         assert result.diagnostics.iterations == ref.iterations
         assert result.diagnostics.converged == ref.converged
+        assert result.diagnostics.residual == ref.residual
         np.testing.assert_array_equal(
             result.decided, threshold_map(ref.solution, config.alpha)
         )
@@ -177,11 +181,31 @@ class TestLassoIsSoftThresholdFista:
 
     def test_early_stop_before_the_cap(self):
         # simulate --users 20 --meas 14 --rho 0.8 --snr 14 --seed 1, trial 141:
-        # rel_tol fires at iteration 475 of 500.
+        # the residual test fires at iteration 220 of 500.
         inst = sweep_instance(1, 14.0, 141, 0.8, 14.0, n=20, m=14)
         result = self.assert_same_solve(inst, DetectorConfig(kind="lasso"))
         assert result.diagnostics.converged
         assert result.diagnostics.iterations < SolverConfig().max_iters
+
+
+class TestNonconvexMapSoavIsFista:
+    """At rho 0.3 and below the middle SOAV weight is negative, and map_soav runs fista."""
+
+    @pytest.mark.parametrize("rho", [0.05, 0.2, 0.3])
+    def test_bit_for_bit_a_direct_fista_call(self, rho):
+        prior = bpsk_prior(rho)
+        weights = solve_weights(prior, default_offset(prior))
+        assert not weights.convex
+        config = DetectorConfig(kind="map_soav")
+        for trial in range(10):
+            inst = sweep_instance(11, rho, trial, rho, 12.0)
+            data = QuadraticData(B=inst.mix, y=inst.y, scale=1.0 / (2.0 * inst.sigma_w2))
+            L = lipschitz_bound(data.scale, inst.mix_norm_sq)
+            ref = fista(data, ternary_prox(1.0 / L, weights), config.solver, lipschitz=L)
+            result = map_soav(inst, prior, config)
+            assert result.raw.tobytes() == ref.solution.tobytes()
+            assert (result.diagnostics.iterations, result.diagnostics.converged,
+                    result.diagnostics.residual) == (ref.iterations, ref.converged, ref.residual)
 
 
 class TestMapSoav:

@@ -1,8 +1,11 @@
 """Golden outputs: three paper-scale CLI sweeps must reproduce committed CSVs byte for byte.
 
-The LMMSE-only sweep pins 300 paper-scale symbol draws and decisions. Every solve at N = 100, M = 70 runs to the 500-iteration cap, so the CSVs,
-`# solver` lines included, do not depend on where an early stop falls; on
-small systems that can move with the BLAS kernel of the CPU.
+The LMMSE-only sweep pins 300 paper-scale symbol draws and decisions. The
+nonconvex map_soav solves of the rho sweep run FISTA to the 500-iteration
+cap. The convex solves run ADMM, which stops on its fixed-point residual, so
+their `# solver` lines record where those stops fell: a CPU whose BLAS
+kernel rounds differently can move a stop by 10 iterations, or the second
+digit of a median residual.
 """
 
 from pathlib import Path

@@ -37,8 +37,9 @@ def capture_instances(monkeypatch):
 
 
 def tiny_spectral_bound(monkeypatch):
-    """Make every instance's spectral bound 1e-9, so each solve's step is far
-    too long and its iterates diverge."""
+    """Make every instance's spectral bound 1e-9, so each FISTA step is far
+    too long and its iterates diverge. FISTA runs map_soav at a nonconvex rho,
+    0.3 or below; ADMM, which runs the convex problems, takes no step."""
     monkeypatch.setattr(model.SystemInstance, "mix_norm_sq", property(lambda self: 1e-9))
 
 
@@ -281,6 +282,36 @@ class TestRunTrial:
             expected = lipschitz_bound(scale, top)
             assert np.float64(L).view(np.uint64) == np.float64(expected).view(np.uint64)
 
+    def test_one_admm_factor_per_convex_trial(self, monkeypatch):
+        made = capture_instances(monkeypatch)
+        factors = []
+        real_factor = model.SystemInstance.admm_factor.func
+
+        def factor(self):
+            factors.append(self)
+            return real_factor(self)
+
+        counting = functools.cached_property(factor)
+        counting.__set_name__(model.SystemInstance, "admm_factor")
+        monkeypatch.setattr(model.SystemInstance, "admm_factor", counting)
+
+        def run(rho, *kinds):
+            cfg = ExperimentConfig(
+                n_users=100, n_meas=70, trials=1, rho=rho, snr_db=12.0, master_seed=9,
+                detectors=tuple(DetectorConfig(kind=k) for k in kinds),
+            )
+            run_trial(cfg, 12.0, 0)
+            return made[-1]
+
+        # lasso and map_soav at a convex rho share one factor.
+        convex = run(0.8, "lmmse", "lasso", "map_soav")
+        assert factors == [convex]
+        # No ADMM solve, no factor: lmmse alone, or map_soav at a nonconvex rho.
+        run(0.8, "lmmse")
+        run(0.2, "lmmse", "map_soav")
+        assert len(made) == 3
+        assert factors == [convex]
+
     def test_error_counts_bounded_by_users(self):
         cfg = small_config()
         rec = run_trial(cfg, 10.0, 0)
@@ -408,7 +439,7 @@ class TestRunSweep:
         doomed = DetectorConfig(
             kind="map_soav", solver=SolverConfig(max_iters=200, rel_tol=0.0))
         cfg = small_config(
-            trials=3, snr_db=10.0,
+            trials=3, snr_db=10.0, rho=0.2,
             detectors=(DetectorConfig(kind="lmmse"), doomed),
         )
         with np.errstate(over="ignore", invalid="ignore"):
@@ -467,10 +498,10 @@ class TestTrialError:
 
     def test_recoverable_failures_are_not_trial_errors(self, monkeypatch):
         tiny_spectral_bound(monkeypatch)
-        doomed = DetectorConfig(kind="lasso", solver=SolverConfig(max_iters=50, rel_tol=0.0))
+        doomed = DetectorConfig(kind="map_soav", solver=SolverConfig(max_iters=50, rel_tol=0.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            record = run_trial(small_config(detectors=(doomed,)), 10.0, 0)
-        assert record.error_counts == {"lasso": None}
+            record = run_trial(small_config(rho=0.2, detectors=(doomed,)), 10.0, 0)
+        assert record.error_counts == {"map_soav": None}
         assert record.solves == {}
 
 
@@ -491,9 +522,11 @@ class TestSolverMetadata:
             for kind in ("lasso", "map_soav"):
                 iters = [rec.solves[kind][0] for rec in records]
                 capped = sum(not rec.solves[kind][1] for rec in records)
+                residual = np.median([rec.solves[kind][2] for rec in records])
                 expected.append(
                     f"# solver snr_db={value:g} {kind}: mean_iterations="
                     f"{np.mean(iters):.6g} cap_hits={capped}/{cfg.trials}"
+                    f" median_residual={residual:.2g}"
                 )
         lines = self.solver_lines(cfg)
         assert lines == expected
@@ -505,13 +538,16 @@ class TestSolverMetadata:
         solver = SolverConfig(max_iters=40, rel_tol=0.0)
         cfg = small_config(trials=3, snr_db=10.0, detectors=(
             DetectorConfig(kind="lmmse"), DetectorConfig(kind="lasso", solver=solver)))
+        residual = np.median([run_trial(cfg, 10.0, i).solves["lasso"][2] for i in range(3)])
+        assert residual > 0.0
         assert self.solver_lines(cfg) == [
-            "# solver snr_db=10 lasso: mean_iterations=40 cap_hits=3/3"]
+            "# solver snr_db=10 lasso: mean_iterations=40 cap_hits=3/3"
+            f" median_residual={residual:.2g}"]
 
     def test_failed_solves_are_left_out(self, monkeypatch):
         tiny_spectral_bound(monkeypatch)
         doomed = DetectorConfig(kind="map_soav", solver=SolverConfig(max_iters=50, rel_tol=0.0))
-        cfg = small_config(trials=2, snr_db=10.0, detectors=(doomed,))
+        cfg = small_config(trials=2, snr_db=10.0, rho=0.2, detectors=(doomed,))
         with np.errstate(over="ignore", invalid="ignore"):
             lines = self.solver_lines(cfg)
         assert lines == []

@@ -1,4 +1,4 @@
-"""Tests for the quadratic term, Lipschitz estimation, and the FISTA solver."""
+"""Tests for the quadratic term, Lipschitz estimation, and the ADMM and FISTA solvers."""
 
 import re
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    batched_soav_prox_gradient_oracle,
     central_difference_gradient,
     fista_reference,
     prox_vector_exhaustive,
@@ -19,11 +20,12 @@ from soavmud.model import SystemInstance, bpsk_prior, gaussian_matrix, synthesiz
 from soavmud.optim import (
     QuadraticData,
     SolverConfig,
+    admm,
     fista,
     gradient,
     lipschitz_bound,
 )
-from soavmud.soav import default_offset, solve_weights, ternary_prox
+from soavmud.soav import SoavWeights, default_offset, solve_weights, ternary_prox
 
 TERNARY = (-1.0, 0.0, 1.0)
 
@@ -238,6 +240,17 @@ class TestFista:
         residual = np.linalg.norm(x - prox_at(1.0 / lipschitz)(x - step))
         assert residual <= 1e-6 * (1.0 + np.linalg.norm(x))
 
+    def test_reports_the_residual_of_its_solution(self):
+        _, data, _, prox_at = make_soav_problem(seed=101)
+        lipschitz = spectral_lipschitz(data)
+        for iters in (20, 200):
+            report = solve(data, prox_at, SolverConfig(max_iters=iters, rel_tol=0.0), lipschitz)
+            x = report.solution
+            step = gradient(data, x) / lipschitz
+            residual = np.linalg.norm(x - prox_at(1.0 / lipschitz)(x - step))
+            assert report.residual == pytest.approx(
+                residual / (1.0 + np.linalg.norm(x)), rel=1e-6)
+
     def test_momentum_accelerates_objective_decay(self):
         # Objective gap must shrink by much more than the 16x that the
         # 1/k^2 rate guarantees between iterations 50 and 200. FISTA is
@@ -425,3 +438,102 @@ class TestFistaMatchesReferenceLoop:
             lambda z, g: ternary_prox_cascade(z, g, tuple(weights.q)),
         )
         assert report.iterations < config.max_iters
+
+
+def admm_solve(inst, data, prox_at, config):
+    """admm on ``inst``'s factor at the detectors' L, as the detectors run it."""
+    lipschitz = lipschitz_bound(data.scale, inst.mix_norm_sq)
+    return admm(data, prox_at, config, lipschitz, inst.admm_factor, inst.admm_ridge)
+
+
+class TestAdmm:
+    """Over-relaxed ADMM with the exact x-update, on the convex problems."""
+
+    L1 = SoavWeights(q=(0.0, 1.0, 0.0), c=0.0, alphabet=TERNARY)
+
+    @pytest.mark.parametrize("kind, rho", [("lasso", 0.8), ("map_soav", 0.8), ("map_soav", 0.5)])
+    def test_default_config_meets_the_criterion_3_bounds(self, kind, rho):
+        """Relative objective <= 1e-5 against the 50,000-iteration oracle, residual <= 1e-6."""
+        prior = bpsk_prior(rho)
+        weights = self.L1 if kind == "lasso" else solve_weights(prior, default_offset(prior))
+        sigma_w2 = 20 * (1 - rho) / 14 * 10 ** (-0.8)
+        # Lasso's scale 30 is the SOAV scale 1 / (2 sigma_w2) at sigma_w2 = 1/60.
+        objective_w2 = 1.0 / 60.0 if kind == "lasso" else sigma_w2
+        insts, datas, lipschitzes, reports = [], [], [], []
+        for seed in range(10):
+            rng = np.random.default_rng(1000 + seed)
+            inst = synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20), sigma_w2, rng)
+            data = QuadraticData(B=inst.mix, y=inst.y, scale=1.0 / (2.0 * objective_w2))
+            insts.append(inst)
+            datas.append(data)
+            lipschitzes.append(lipschitz_bound(data.scale, inst.mix_norm_sq))
+            reports.append(admm_solve(inst, data, lambda g: ternary_prox(g, weights),
+                                      SolverConfig()))
+        oracle = batched_soav_prox_gradient_oracle(
+            [i.mix for i in insts], [i.y for i in insts], [objective_w2] * len(insts),
+            weights.q, TERNARY, lipschitzes, iters=50_000,
+        )
+        for inst, data, L, report, oracle_x in zip(insts, datas, lipschitzes, reports, oracle):
+            f, f_star = (
+                soav_objective_ref(x, inst.mix, inst.y, objective_w2, weights.q, TERNARY)
+                for x in (report.solution, oracle_x)
+            )
+            assert f - f_star <= 1e-5 * abs(f_star)
+            x = report.solution
+            step = gradient(data, x) / L
+            residual = np.linalg.norm(x - ternary_prox(1.0 / L, weights)(x - step)) / (
+                1.0 + np.linalg.norm(x))
+            assert residual <= 1e-6
+            assert report.residual == pytest.approx(residual, rel=1e-4)
+
+    def test_factor_is_the_scaled_ridge_inverse(self):
+        inst, *_ = make_soav_problem(seed=60)
+        mu = inst.admm_ridge
+        assert mu == 0.005 * inst.mix_norm_sq
+        expected = mu * np.linalg.inv(inst.mix.T @ inst.mix + mu * np.identity(inst.n_users))
+        np.testing.assert_allclose(inst.admm_factor, expected, rtol=0.0, atol=1e-10)
+        assert not inst.admm_factor.flags.writeable
+
+    def test_stops_on_the_residual_every_ten_iterations(self):
+        inst, data, _, prox_at = make_soav_problem(seed=61)
+        report = admm_solve(inst, data, prox_at, SolverConfig())
+        assert report.converged
+        assert report.iterations % 10 == 0 and report.iterations < 500
+        assert 0.0 < report.residual <= 1e-8
+        # Ten iterations fewer, the residual had not yet fallen below rel_tol.
+        earlier = admm_solve(inst, data, prox_at,
+                             SolverConfig(max_iters=report.iterations - 10, rel_tol=0.0))
+        assert earlier.residual > 1e-8
+
+    def test_budget_runs_out_unconverged(self):
+        inst, data, _, prox_at = make_soav_problem(seed=61)
+        for config in (SolverConfig(max_iters=7), SolverConfig(max_iters=50, rel_tol=0.0)):
+            report = admm_solve(inst, data, prox_at, config)
+            assert report.iterations == config.max_iters
+            assert not report.converged
+            assert report.residual > 0.0
+
+    def test_identity_prox_solves_least_squares(self):
+        # g = 0: every iterate's fixed point is the least-squares solution.
+        rng = np.random.default_rng(62)
+        B = rng.standard_normal((12, 8))
+        y = rng.standard_normal(12)
+        inst = SystemInstance(S=B, gains=np.ones(8), sigma_w2=1.0, b=np.zeros(8),
+                              w=np.zeros(12), y=y)
+        data = QuadraticData(B=B, y=y, scale=0.5)
+        report = admm_solve(inst, data, lambda g: identity, SolverConfig(rel_tol=1e-12))
+        np.testing.assert_allclose(report.solution, np.linalg.lstsq(B, y)[0], atol=1e-9)
+
+    @pytest.mark.parametrize("name, value", [
+        ("lipschitz", 0.0), ("lipschitz", np.inf), ("ridge", 0.0), ("ridge", np.nan)])
+    def test_rejects_nonpositive_or_nonfinite_parameters(self, name, value):
+        inst, data, _, prox_at = make_soav_problem(seed=63)
+        args = {"lipschitz": 1.0, "ridge": inst.admm_ridge, name: value}
+        with pytest.raises(ValueError, match=name):
+            admm(data, prox_at, SolverConfig(), args["lipschitz"], inst.admm_factor,
+                 args["ridge"])
+
+    def test_rejects_a_factor_of_the_wrong_shape(self):
+        inst, data, _, prox_at = make_soav_problem(seed=63)
+        with pytest.raises(ValueError, match="factor"):
+            admm(data, prox_at, SolverConfig(), 1.0, inst.gram, inst.admm_ridge)
