@@ -2,9 +2,10 @@
 linear AWGN model.
 
 The package provides the SOAV-regularized MAP detector (penalty weights
-calibrated from the symbol prior, solved by accelerated proximal gradient
-with a closed-form ternary prox) next to LMMSE, LASSO, and exhaustive-MAP
-baselines, plus a reproducible Monte Carlo harness and CLI.
+calibrated from the symbol prior, solved with a closed-form ternary prox by
+ADMM when the weights are convex and by accelerated proximal gradient when
+they are not) next to LMMSE, LASSO, and exhaustive-MAP baselines, plus a
+reproducible Monte Carlo harness and CLI.
 """
 
 from .detectors import (
@@ -49,11 +50,10 @@ from .model import (
 )
 from .optim import (
     DivergenceError,
-    QuadraticData,
     SolveReport,
     SolverConfig,
+    admm,
     fista,
-    gradient,
     lipschitz_bound,
 )
 from .soav import (

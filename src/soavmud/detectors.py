@@ -20,15 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SymbolPrior, SystemInstance
-from .optim import (
-    QuadraticData,
-    SolveReport,
-    SolverConfig,
-    _as_float,
-    admm,
-    fista,
-    lipschitz_bound,
-)
+from .optim import SolveReport, SolverConfig, _as_float, admm, fista
 from .soav import SoavWeights, default_offset, solve_weights, ternary_prox
 
 __all__ = [
@@ -129,21 +121,16 @@ def lmmse(
 def _solve(instance, scale, weights: SoavWeights, config: DetectorConfig) -> DetectionResult:
     """Minimize scale * ||y - S A x||^2 + sum_l q_l ||x - r_l 1||_1; quantize.
 
-    Convex weights run ``admm`` on the instance's cached factor, nonconvex
-    ones ``fista``; both with the prox ``ternary_prox``. L comes from the
-    instance's cached sigma_max(S A)^2, so lasso and map_soav on one instance
-    share one eigenvalue solve and one ADMM factor. A zero S A gives no step
-    and raises ValueError.
+    Convex weights run ``admm``, nonconvex ones ``fista``, both with the
+    prox ``ternary_prox``. Each solver reads sigma_max(S A)^2, and ``admm``
+    its factor, from the instance's cache, so lasso and map_soav on one
+    instance share one eigenvalue solve and one ADMM factor.
     """
-    data = QuadraticData(B=instance.mix, y=instance.y, scale=scale)
-    L = lipschitz_bound(scale, instance.mix_norm_sq)
-    if L == 0.0:
-        raise ValueError("S A is the zero operator, so no step size bounds it")
-    if weights.convex:
-        report = admm(data, functools.partial(ternary_prox, weights=weights), config.solver,
-                      L, instance.admm_factor, instance.admm_ridge)
-    else:
-        report = fista(data, ternary_prox(1.0 / L, weights), config.solver, lipschitz=L)
+    solver = admm if weights.convex else fista
+    # The prox factory stays the second positional argument: perfbench's
+    # tracer wraps fista as fista(instance, prox_at, *args) and times prox_at.
+    report = solver(instance, functools.partial(ternary_prox, weights=weights), scale,
+                    config.solver)
     return DetectionResult(
         raw=report.solution,
         decided=threshold_map(report.solution, config.alpha),

@@ -44,7 +44,8 @@ class UnsupportedAlphabetError(ValueError):
 class SoavWeights:
     """Calibrated penalty weights q for the alphabet r, with the offset constant c.
 
-    ``ternary`` records once whether the alphabet is (-1, 0, 1), the only
+    q and c must be finite: a NaN or infinite entry raises ValueError naming
+    its field. ``ternary`` records once whether the alphabet is (-1, 0, 1), the only
     one the closed-form prox covers.
     """
 
@@ -57,6 +58,10 @@ class SoavWeights:
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size < 1:
             raise ValueError("q must be a nonempty vector")
+        if not np.isfinite(q).all():
+            raise ValueError("q must be finite")
+        if not math.isfinite(self.c):
+            raise ValueError("c must be finite")
         alphabet = np.array(self.alphabet, dtype=float)
         if alphabet.shape != q.shape:
             raise ValueError("weights and alphabet must have equal length")

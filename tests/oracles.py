@@ -159,10 +159,11 @@ def ternary_prox_cascade(values, gamma, q):
 def fista_reference(B, y, scale, prox, penalty, lipschitz, max_iters, rel_tol):
     """FISTA for scale * ||y - B x||^2 + g(x), written step by step.
 
-    Recomputes x - x_prev for the momentum and for the step, takes both
-    norms with np.linalg.norm and checks every iterate with np.isfinite, so
-    it is the bit-level reference for the library loop. Returns
-    (solution, iterations, final objective).
+    Stops, every 10 iterations and after the last, once the fixed-point
+    residual ||x - prox(H x + c)|| / (1 + ||x||) is at most rel_tol, with
+    both norms taken by np.linalg.norm, and checks every iterate with
+    np.isfinite, so it is the bit-level reference for the library loop.
+    Returns (solution, iterations, final objective).
     """
     gamma = 1.0 / lipschitz
     # The gradient step x - gamma * 2 scale B^T (B x - y) as the affine map H x + c.
@@ -178,14 +179,15 @@ def fista_reference(B, y, scale, prox, penalty, lipschitz, max_iters, rel_tol):
         x = prox(H @ x_tilde + c, gamma)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite iterate")
+        iterations = k
+        if k % 10 == 0 or k == max_iters:
+            residual = np.linalg.norm(x - prox(H @ x + c, gamma)) / (1.0 + np.linalg.norm(x))
+            if rel_tol > 0.0 and residual <= rel_tol:
+                break
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         x_tilde = x + ((t - 1.0) / t_next) * (x - x_prev)
-        iterations = k
-        step = np.linalg.norm(x - x_prev)
         x_prev = x
         t = t_next
-        if rel_tol > 0.0 and step <= rel_tol * (1.0 + np.linalg.norm(x)):
-            break
     resid = y - B @ x
     return x, iterations, scale * float(resid @ resid) + penalty(x)
 
@@ -240,6 +242,11 @@ def soft_threshold(v, gamma):
     if not 0.0 <= gamma < math.inf:
         raise ValueError("gamma must be nonnegative and finite")
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
+
+
+def gradient(B, y, scale, x):
+    """Gradient of the quadratic term scale * ||y - B x||^2: 2 * scale * B^T (B x - y)."""
+    return 2.0 * scale * (B.T @ (B @ np.asarray(x, dtype=float) - y))
 
 
 def central_difference_gradient(fun, x, h=1e-6):

@@ -10,19 +10,14 @@ import pytest
 
 from oracles import (
     batched_soav_prox_gradient_oracle,
+    gradient,
     prox_1d_exhaustive,
     soav_objective_ref,
 )
 from soavmud.detectors import DetectorConfig
 from soavmud.harness import ExperimentConfig, emit_csv, run_sweep
 from soavmud.model import bpsk_prior, gaussian_matrix, synthesize
-from soavmud.optim import (
-    QuadraticData,
-    SolverConfig,
-    fista,
-    gradient,
-    lipschitz_bound,
-)
+from soavmud.optim import SolverConfig, fista, lipschitz_bound
 from soavmud.soav import SoavWeights, default_offset, solve_weights, ternary_prox
 
 TERNARY = (-1.0, 0.0, 1.0)
@@ -83,24 +78,24 @@ def test_criterion_3_solver_correctness():
         rng = np.random.default_rng(1000 + seed)
         inst = synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20),
                           sigma_w2, rng)
-        data = QuadraticData(B=inst.mix, y=inst.y, scale=1.0 / (2.0 * sigma_w2))
-        L = lipschitz_bound(data.scale, inst.mix_norm_sq)
+        scale = 1.0 / (2.0 * sigma_w2)
+        L = lipschitz_bound(scale, inst.mix_norm_sq)
         prox = ternary_prox(1.0 / L, weights)
         # FISTA is deterministic, so a solve capped at k iterations ends at iterate k.
         solutions = [
-            fista(data, prox, SolverConfig(max_iters=k, rel_tol=0.0), lipschitz=L).solution
+            fista(inst, lambda gamma: prox, scale, SolverConfig(max_iters=k, rel_tol=0.0)).solution
             for k in (50, 200, 2000)
         ]
         instances.append(inst)
         lipschitzes.append(L)
-        reports.append((data, L, prox, solutions))
+        reports.append((scale, L, prox, solutions))
     oracle_solutions = batched_soav_prox_gradient_oracle(
         [i.mix for i in instances], [i.y for i in instances],
         [i.sigma_w2 for i in instances], weights.q, TERNARY, lipschitzes,
         iters=50_000,
     )
     worst_rel = worst_ratio = worst_residual = 0.0
-    for inst, oracle_x, (data, L, prox, solutions) in zip(
+    for inst, oracle_x, (scale, L, prox, solutions) in zip(
         instances, oracle_solutions, reports
     ):
         f_star, f_50, f_200, f_final = (
@@ -113,7 +108,7 @@ def test_criterion_3_solver_correctness():
         worst_ratio = max(worst_ratio, gap_200 / gap_50)
         x = solutions[-1]
         residual = np.linalg.norm(
-            x - prox(x - gradient(data, x) / L)
+            x - prox(x - gradient(inst.mix, inst.y, scale, x) / L)
         ) / (1.0 + np.linalg.norm(x))
         worst_residual = max(worst_residual, residual)
     ok = worst_rel <= 1e-5 and worst_residual <= 1e-6 and worst_ratio <= 1.0 / 8.0

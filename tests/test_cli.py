@@ -120,7 +120,7 @@ def _run_diverging(tmp_path, entry, *flags):
 
 def _divergence_warning(trial):
     return (f"trial {trial} at snr_db=12.0: detector map_soav failed (solver produced a"
-            " non-finite iterate; the Lipschitz bound is too small)\n")
+            " non-finite iterate)\n")
 
 
 class TestWorkers:

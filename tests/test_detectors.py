@@ -27,13 +27,7 @@ from soavmud.model import (
     substream,
     synthesize,
 )
-from soavmud.optim import (
-    QuadraticData,
-    SolverConfig,
-    admm,
-    fista,
-    lipschitz_bound,
-)
+from soavmud.optim import SolverConfig, admm, fista
 from soavmud.soav import default_offset, soav_objective, solve_weights, ternary_prox
 
 BINARY = SymbolPrior(alphabet=(-1.0, 1.0), probs=(0.5, 0.5))  # rho -> 0 limit
@@ -153,10 +147,8 @@ class TestLassoIsSoftThresholdFista:
 
     @staticmethod
     def soft_threshold_solve(inst, config):
-        L = lipschitz_bound(config.lam, inst.mix_norm_sq)
-        data = QuadraticData(B=inst.mix, y=inst.y, scale=config.lam)
-        return admm(data, lambda gamma: lambda z: soft_threshold(z, gamma), config.solver,
-                    L, inst.admm_factor, inst.admm_ridge)
+        return admm(inst, lambda gamma: lambda z: soft_threshold(z, gamma), config.lam,
+                    config.solver)
 
     def assert_same_solve(self, inst, config):
         result = lasso(inst, config)
@@ -199,9 +191,8 @@ class TestNonconvexMapSoavIsFista:
         config = DetectorConfig(kind="map_soav")
         for trial in range(10):
             inst = sweep_instance(11, rho, trial, rho, 12.0)
-            data = QuadraticData(B=inst.mix, y=inst.y, scale=1.0 / (2.0 * inst.sigma_w2))
-            L = lipschitz_bound(data.scale, inst.mix_norm_sq)
-            ref = fista(data, ternary_prox(1.0 / L, weights), config.solver, lipschitz=L)
+            ref = fista(inst, lambda gamma: ternary_prox(gamma, weights),
+                        1.0 / (2.0 * inst.sigma_w2), config.solver)
             result = map_soav(inst, prior, config)
             assert result.raw.tobytes() == ref.solution.tobytes()
             assert (result.diagnostics.iterations, result.diagnostics.converged,

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from soavmud import detectors, harness, model
+from soavmud import harness, model, optim
 from soavmud.detectors import DetectorConfig, run_detector
 from soavmud.harness import (
     ExperimentConfig,
@@ -259,13 +259,13 @@ class TestRunTrial:
         made = capture_instances(monkeypatch)
         grams, eigs = count_spectral_work(monkeypatch)
         bounds = []  # (scale, L) for every L that a detector forms
-        real_bound = detectors.lipschitz_bound
+        real_bound = optim.lipschitz_bound
 
         def recording_bound(scale, norm_sq):
             bounds.append((scale, real_bound(scale, norm_sq)))
             return bounds[-1][1]
 
-        monkeypatch.setattr(detectors, "lipschitz_bound", recording_bound)
+        monkeypatch.setattr(optim, "lipschitz_bound", recording_bound)
         cfg = ExperimentConfig(
             n_users=100, n_meas=70, trials=1, rho=0.8, snr_db=12.0, master_seed=9,
             detectors=tuple(DetectorConfig(kind=k) for k in ("lmmse", "lasso", "map_soav")),

@@ -118,6 +118,17 @@ class TestSolveWeights:
             with pytest.raises(ValueError, match="strictly increasing"):
                 SoavWeights(q=(1.0, 1.0, 1.0), c=0.0, alphabet=alphabet)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["q", "c"])
+    def test_nonfinite_weights_rejected(self, field, value):
+        # Unchecked, q = (inf, 1, 0) read convex and its prox sent [-2, 0.3, 2]
+        # to [-1, -1, -1]; q = (nan, 1, 0) gave a NaN prox.
+        args = {"q": (1.0, 1.0, 0.0), "c": 0.0}
+        args[field] = (value, 1.0, 0.0) if field == "q" else value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SoavWeights(alphabet=TERNARY, **args)
+
     def test_singular_system_raises(self, monkeypatch):
         # A strictly increasing alphabet always gives a regular R (the matrix
         # of a Euclidean distance), so a zero R stands in for a singular one.
