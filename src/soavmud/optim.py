@@ -17,7 +17,14 @@ f + g.
 3.4.3). Its x-update is exact, through the instance's cached factor W, so
 its iteration takes no step bound (L sets only its stopping test) and
 cannot diverge on a convex g. The detectors run every convex problem
-through it.
+through it. At each check where its estimate failed the test, ``admm`` also
+tries a polish, as OSQP finishes its ADMM (Stellato et al., "OSQP: an
+operator splitting solver for quadratic programs", Math. Prog. Comp. 2020):
+once the coordinates on a kink of the ternary penalty are the same as at
+the previous check, the penalty is linear on the others, and one small
+linear solve gives the minimizer for that kink set. The candidate is
+returned only if it passes the same residual test; otherwise the iteration
+goes on unchanged.
 
 ``fista`` is accelerated proximal gradient with a fixed 1/L step. The
 detectors run it on the nonconvex SOAV problems, where ADMM stops in worse
@@ -84,7 +91,8 @@ class SolverConfig:
     """Iteration budget and stopping tolerance of the proximal solvers.
 
     Both solvers stop once the fixed-point residual of their estimate,
-    formed every 10 iterations and after the last, is at most ``rel_tol``.
+    formed every 10 iterations and after the last, is at most ``rel_tol``;
+    ``admm`` also stops when its polish of the estimate passes that test.
     0 disables the early stop, so the whole budget runs.
     """
 
@@ -104,10 +112,13 @@ class SolverConfig:
 class SolveReport:
     """Solver output: the solution and how the solve ended.
 
-    ``converged`` is True only when the stopping test fired; a solve that
-    ran its whole iteration budget reports False. ``residual`` is the
-    fixed-point residual ||x - prox(x - grad f(x) / L)|| / (1 + ||x||) of
-    ``solution``, with the prox at gamma = 1/L.
+    ``iterations`` counts the iterations run before the solve stopped; an
+    ``admm`` solution from a polish counts those up to the check that
+    accepted it. ``converged`` is True only when the stopping test fired, on
+    the iterate or on ``admm``'s polish of it; a solve that ran its whole
+    iteration budget without either passing reports False. ``residual`` is
+    the fixed-point residual ||x - prox(x - grad f(x) / L)|| / (1 + ||x||)
+    of ``solution``, with the prox at gamma = 1/L.
     """
 
     solution: np.ndarray
@@ -174,6 +185,14 @@ def admm(instance: SystemInstance, prox_at: ProxAt, scale: float,
     M = alpha W - (alpha / 2) I that is [2 M, (1 - alpha / 2) I - M] [z; w]
     plus alpha W B^T y / mu: one N x 2N product per iteration, into the
     other of two stacked [z; w] buffers.
+
+    At each check whose z fails the stopping test, the kink set K, the
+    coordinates where z is exactly -1, 0 or 1 (the ternary prox's constant
+    branches), is compared with the previous check's. If it is the same,
+    ``_polish`` solves for the free coordinates F with z_K held, and the
+    candidate is returned if it passes the same test at the same
+    ``rel_tol``; no candidate passes at rel_tol = 0. A singular or
+    non-finite polish is skipped.
     """
     L = _step_bound(instance, scale)
     B, y, W, ridge = instance.mix, instance.y, instance.admm_factor, instance.admm_ridge
@@ -186,8 +205,13 @@ def admm(instance: SystemInstance, prox_at: ProxAt, scale: float,
     M.reshape(-1)[:: n + 1] -= 0.5 * alpha
     K = np.hstack((2.0 * M, (1.0 - 0.5 * alpha) * np.identity(n) - M))
     c = W.dot(B.T.dot(y)) * (alpha / ridge)
+
+    def check(x):
+        return _stop(x, x - a * B.T.dot(B.dot(x) - y), residual_prox, config.rel_tol)
+
     # [z; w], both 0, and the buffer the next iteration writes.
     state, next_state = np.zeros(2 * n), np.zeros(2 * n)
+    settled = None
     for k in range(1, config.max_iters + 1):
         w = next_state[n:]
         np.dot(K, state, out=w)
@@ -197,12 +221,52 @@ def admm(instance: SystemInstance, prox_at: ProxAt, scale: float,
         if k % _CHECK_EVERY and k < config.max_iters:
             continue
         z = state[:n]
-        residual, converged = _stop(z, z - a * B.T.dot(B.dot(z) - y), residual_prox,
-                                    config.rel_tol)
+        residual, converged = check(z)
         if converged:
             break
+        # z where it sits on -1, 0 or 1, a constant branch of the prox; 2 elsewhere.
+        kinks = np.where((z == 0.0) | (np.abs(z) == 1.0), z, 2.0)
+        if settled is not None and np.array_equal(kinks, settled):
+            # A polish that fails, however badly, is skipped: the solve goes on.
+            with np.errstate(all="ignore"):
+                polished = _polish(B, y, ridge, z, state[n:], kinks == 2.0)
+                if polished is not None:
+                    polished_residual, polished_converged = check(polished)
+                    if polished_converged:
+                        return SolveReport(solution=polished, iterations=k,
+                                           converged=True, residual=polished_residual)
+        settled = kinks
     return SolveReport(solution=state[:n].copy(), iterations=k, converged=converged,
                        residual=residual)
+
+
+def _polish(B: np.ndarray, y: np.ndarray, ridge: float, z: np.ndarray, w: np.ndarray,
+            free: np.ndarray) -> np.ndarray | None:
+    """The minimizer of f + g on ADMM's kink set, or None when no solve gives one.
+
+    z = prox(w) is ADMM's last prox step, at gamma = 1 / (2 scale mu).
+    On a free coordinate the prox takes a shift branch, w - z = gamma * slope
+    of g, so g is linear there and its slope over 2 scale is mu (w - z). With
+    z kept on the kinks K and the free set F solved for,
+
+        (B_F^T B_F) x_F = B_F^T (y - B_K z_K) - mu (w_F - z_F)
+
+    is the stationarity of f + g in x_F. A singular B_F^T B_F, more than M
+    free coordinates or none, or a non-finite x_F gives None.
+    """
+    if not 0 < np.count_nonzero(free) <= B.shape[0]:
+        return None
+    x = np.where(free, 0.0, z)
+    B_F = B[:, free]
+    rhs = B_F.T.dot(y - B.dot(x)) - ridge * (w[free] - z[free])
+    try:
+        x_F = np.linalg.solve(B_F.T.dot(B_F), rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(x_F)):
+        return None
+    x[free] = x_F
+    return x
 
 
 def fista(instance: SystemInstance, prox_at: ProxAt, scale: float,

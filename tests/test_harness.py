@@ -515,7 +515,12 @@ class TestSolverMetadata:
         return [l for l in buf.getvalue().splitlines() if l.startswith("# solver")]
 
     def test_lines_recount_the_trial_records(self):
-        cfg = small_config(n_users=8, n_meas=6)
+        # At the default budget every 8 x 6 solve stops early on its polish;
+        # at 40 iterations some stop and some hit the cap.
+        solver = SolverConfig(max_iters=40)
+        cfg = small_config(n_users=8, n_meas=6, detectors=(
+            DetectorConfig(kind="lmmse"), DetectorConfig(kind="lasso", solver=solver),
+            DetectorConfig(kind="map_soav", solver=solver)))
         expected = []
         for value in cfg.axis_points:
             records = [run_trial(cfg, value, i) for i in range(cfg.trials)]

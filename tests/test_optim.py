@@ -1,6 +1,9 @@
 """Tests for the Lipschitz bound and the ADMM and FISTA solvers."""
 
+import functools
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -422,32 +425,57 @@ class TestFistaMatchesReferenceLoop:
         assert report.iterations < config.max_iters
 
 
+@functools.lru_cache(maxsize=None)
+def criterion_3_solves(kind, rho):
+    """Ten 20 x 14 instances at 8 dB, solved by ``admm`` at the default config.
+
+    Returns (objective_w2, scale, weights, instances, reports, polished,
+    oracle): ``polished[i]`` says whether report i's solution is a polish
+    candidate, and ``oracle`` holds the 50,000-iteration prox-gradient
+    solutions. Cached, since the oracle takes seconds per regime.
+    """
+    prior = bpsk_prior(rho)
+    weights = TestAdmm.L1 if kind == "lasso" else solve_weights(prior, default_offset(prior))
+    sigma_w2 = 20 * (1 - rho) / 14 * 10 ** (-0.8)
+    # Lasso's scale 30 is the SOAV scale 1 / (2 sigma_w2) at sigma_w2 = 1/60.
+    objective_w2 = 1.0 / 60.0 if kind == "lasso" else sigma_w2
+    scale = 1.0 / (2.0 * objective_w2)
+    candidates = []
+    polish = optim._polish
+
+    def recording_polish(*args):
+        candidates.append(polish(*args))
+        return candidates[-1]
+
+    insts, reports = [], []
+    with mock.patch.object(optim, "_polish", recording_polish):
+        for seed in range(10):
+            rng = np.random.default_rng(1000 + seed)
+            insts.append(synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20),
+                                    sigma_w2, rng))
+            reports.append(admm(insts[-1], lambda g: ternary_prox(g, weights), scale,
+                                SolverConfig()))
+    polished = [any(r.solution is c for c in candidates) for r in reports]
+    oracle = batched_soav_prox_gradient_oracle(
+        [i.mix for i in insts], [i.y for i in insts], [objective_w2] * len(insts),
+        weights.q, TERNARY, [spectral_lipschitz(i, scale) for i in insts], iters=50_000,
+    )
+    return objective_w2, scale, weights, insts, reports, polished, oracle
+
+
+CRITERION_3_REGIMES = [("lasso", 0.8), ("map_soav", 0.8), ("map_soav", 0.5)]
+
+
 class TestAdmm:
     """Over-relaxed ADMM with the exact x-update, on the convex problems."""
 
     L1 = SoavWeights(q=(0.0, 1.0, 0.0), c=0.0, alphabet=TERNARY)
 
-    @pytest.mark.parametrize("kind, rho", [("lasso", 0.8), ("map_soav", 0.8), ("map_soav", 0.5)])
+    @pytest.mark.parametrize("kind, rho", CRITERION_3_REGIMES)
     def test_default_config_meets_the_criterion_3_bounds(self, kind, rho):
         """Relative objective <= 1e-5 against the 50,000-iteration oracle, residual <= 1e-6."""
-        prior = bpsk_prior(rho)
-        weights = self.L1 if kind == "lasso" else solve_weights(prior, default_offset(prior))
-        sigma_w2 = 20 * (1 - rho) / 14 * 10 ** (-0.8)
-        # Lasso's scale 30 is the SOAV scale 1 / (2 sigma_w2) at sigma_w2 = 1/60.
-        objective_w2 = 1.0 / 60.0 if kind == "lasso" else sigma_w2
-        scale = 1.0 / (2.0 * objective_w2)
+        objective_w2, scale, weights, insts, reports, _, oracle = criterion_3_solves(kind, rho)
         prox_at = lambda g: ternary_prox(g, weights)  # noqa: E731
-        insts, lipschitzes, reports = [], [], []
-        for seed in range(10):
-            rng = np.random.default_rng(1000 + seed)
-            inst = synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20), sigma_w2, rng)
-            insts.append(inst)
-            lipschitzes.append(spectral_lipschitz(inst, scale))
-            reports.append(admm(inst, prox_at, scale, SolverConfig()))
-        oracle = batched_soav_prox_gradient_oracle(
-            [i.mix for i in insts], [i.y for i in insts], [objective_w2] * len(insts),
-            weights.q, TERNARY, lipschitzes, iters=50_000,
-        )
         for inst, report, oracle_x in zip(insts, reports, oracle):
             f, f_star = (
                 soav_objective_ref(x, inst.mix, inst.y, objective_w2, weights.q, TERNARY)
@@ -457,6 +485,65 @@ class TestAdmm:
             residual = fixed_point_residual(inst, scale, prox_at, report.solution)
             assert residual <= 1e-6
             assert report.residual == pytest.approx(residual, rel=1e-4)
+
+    @pytest.mark.parametrize("kind, rho", CRITERION_3_REGIMES)
+    def test_polished_estimates_pass_the_stopping_test(self, kind, rho):
+        """A polish returns only an estimate at rel_tol and no worse than the oracle."""
+        objective_w2, scale, weights, insts, reports, polished, oracle = criterion_3_solves(
+            kind, rho)
+        prox_at = lambda g: ternary_prox(g, weights)  # noqa: E731
+        assert any(polished)
+        for inst, report, oracle_x, was_polished in zip(insts, reports, oracle, polished):
+            if not was_polished:
+                continue
+            assert report.converged and report.iterations % 10 == 0
+            assert fixed_point_residual(inst, scale, prox_at, report.solution) <= 1e-8
+            f, f_star = (
+                soav_objective_ref(x, inst.mix, inst.y, objective_w2, weights.q, TERNARY)
+                for x in (report.solution, oracle_x)
+            )
+            assert f <= f_star + 1e-12 * abs(f_star)
+
+    @pytest.mark.parametrize("kind", ["lasso", "map_soav"])
+    def test_singular_polish_is_skipped(self, kind):
+        """Equal columns 0 and 1 of S make B_F^T B_F singular once both are free."""
+        prior = bpsk_prior(0.8)
+        weights = self.L1 if kind == "lasso" else solve_weights(prior, default_offset(prior))
+        rng = np.random.default_rng(0)
+        S = rng.standard_normal((14, 20)) / np.sqrt(14)
+        S[:, 1] = S[:, 0]
+        sigma_w2 = 20 * (1 - 0.8) / 14 * 10 ** (-0.8)
+        inst = synthesize(prior, S, np.ones(20), sigma_w2, rng)
+        scale = 30.0 if kind == "lasso" else 1.0 / (2.0 * sigma_w2)
+        singular, solve = [], np.linalg.solve
+
+        def recording_solve(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a.shape)
+                raise
+
+        with warnings.catch_warnings(), mock.patch.object(np.linalg, "solve", recording_solve):
+            warnings.simplefilter("error")
+            report = admm(inst, lambda g: ternary_prox(g, weights), scale, SolverConfig())
+        assert singular
+        assert report.converged and report.residual <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["lasso", "map_soav"])
+    def test_no_polish_at_zero_rel_tol(self, kind):
+        """At rel_tol = 0 the whole budget runs the plain loop: polishing changes no bit."""
+        inst, scale, weights, prox_at = make_soav_problem(seed=8, n=8, m=6)
+        if kind == "lasso":
+            scale, prox_at = 30.0, lambda g: ternary_prox(g, self.L1)
+        config = SolverConfig(max_iters=200, rel_tol=0.0)
+        report = admm(inst, prox_at, scale, config)
+        with mock.patch.object(optim, "_polish", lambda *args: None):
+            plain = admm(inst, prox_at, scale, config)
+        assert report.iterations == plain.iterations == 200 and not report.converged
+        np.testing.assert_array_equal(report.solution.view(np.uint64),
+                                      plain.solution.view(np.uint64))
+        assert report.residual == plain.residual
 
     def test_factor_is_the_scaled_ridge_inverse(self):
         inst, *_ = make_soav_problem(seed=60)
