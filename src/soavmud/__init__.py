@@ -20,16 +20,6 @@ from .detectors import (
     run_detector,
     threshold_map,
 )
-from .frontend import (
-    FrontendModel,
-    SingularGramError,
-    WaveformBank,
-    build_frontend,
-    cross_correlate,
-    gram,
-    load_bank,
-    whiten,
-)
 from .harness import (
     ExperimentConfig,
     SweepResult,

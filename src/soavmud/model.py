@@ -245,7 +245,7 @@ def synthesize(
         w = np.zeros(m)
     else:
         w = rng.normal(0.0, np.sqrt(sigma_w2), size=m)
-    y = (S * gains) @ b + w
+    y = S.dot(gains * b) + w
     return SystemInstance(S=S, gains=gains, sigma_w2=float(sigma_w2), b=b, w=w, y=y)
 
 

@@ -261,14 +261,3 @@ def central_difference_gradient(fun, x, h=1e-6):
         grad[i] = (fun(up) - fun(dn)) / (2.0 * h)
     return grad
 
-
-def midpoint_cross_correlation(signature_fun, filter_fun, duration, samples):
-    """Midpoint quadrature of int_0^T s(t) h(T - t) dt on `samples` points.
-
-    The functions must accept numpy arrays. Midpoint evaluation makes this
-    independent of the left-point, reversed-index sampling convention it is
-    used to check.
-    """
-    delta = duration / samples
-    mid = delta * (np.arange(samples) + 0.5)
-    return delta * float(np.sum(signature_fun(mid) * filter_fun(duration - mid)))

@@ -163,8 +163,11 @@ class TestSynthesize:
         S = gaussian_matrix(7, 12, rng)
         gains = rng.uniform(0.5, 2.0, size=12)
         inst = synthesize(prior, S, gains, 0.25, rng)
-        residual = inst.y - ((S * gains) @ inst.b + inst.w)
+        residual = inst.y - (S @ (gains * inst.b) + inst.w)
         assert np.linalg.norm(residual) == 0.0
+        # At unit gains, as in every harness trial, y has the bits of (S A) b + w.
+        inst = synthesize(prior, S, np.ones(12), 0.25, rng)
+        assert inst.y.tobytes() == (inst.mix @ inst.b + inst.w).tobytes()
 
     def test_spectral_bound_is_formed_once(self, monkeypatch):
         grams, eigs = [], []
@@ -234,19 +237,26 @@ class TestSynthesize:
         assert err < 0.05
 
     def test_rejects_dimension_mismatch(self):
+        # Each call fails before it draws anything, so the stream is untouched.
         prior = bpsk_prior(0.5)
-        with pytest.raises(ValueError):
-            synthesize(prior, np.eye(4), np.ones(5), 0.1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            synthesize(prior, np.eye(4), np.arange(16.0).reshape(4, 4), 0.1,
-                       np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="gains"):
+            synthesize(prior, np.eye(4), np.ones(5), 0.1, rng)
+        with pytest.raises(ValueError, match="gains"):
+            synthesize(prior, np.eye(4), np.arange(16.0).reshape(4, 4), 0.1, rng)
+        with pytest.raises(ValueError, match="2-D"):
+            synthesize(prior, np.ones(4), np.ones(4), 0.1, rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("sigma_w2", [0.0, -0.1, np.nan, np.inf, -np.inf])
     def test_rejects_nonpositive_or_nonfinite_noise_variance(self, sigma_w2):
         # A NaN or infinite variance would make every entry of y NaN or infinite.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="sigma_w2"):
-            synthesize(bpsk_prior(0.5), np.eye(4), np.ones(4), sigma_w2,
-                       np.random.default_rng(0))
+            synthesize(bpsk_prior(0.5), np.eye(4), np.ones(4), sigma_w2, rng)
+        assert rng.bit_generator.state == state
         with pytest.raises(ValueError, match="sigma_w2"):
             SystemInstance(S=np.eye(4), gains=np.ones(4), sigma_w2=sigma_w2,
                            b=np.ones(4), w=np.zeros(4), y=np.ones(4))
