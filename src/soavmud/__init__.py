@@ -22,6 +22,7 @@ from .detectors import (
 )
 from .harness import (
     ExperimentConfig,
+    RemoteTraceback,
     SweepResult,
     TrialError,
     TrialRecord,

@@ -10,7 +10,7 @@ A sweep's settings are merged in layers, each overriding the one before: the
 ExperimentConfig, DetectorConfig and SolverConfig defaults, the subcommand's
 own defaults, the JSON config file's top level, the file's detector entry (for
 that detector), then the command line flags. Among the subcommand defaults is
-the worker count: one process per CPU this process may run on.
+the process count: one per CPU this process may run on.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import BrokenExecutor
 
 from .detectors import DETECTOR_KINDS, DetectorConfig
-from .harness import ExperimentConfig, TrialError, emit_csv, run_sweep
+from .harness import ExperimentConfig, RemoteTraceback, TrialError, emit_csv, run_sweep
 from .model import bpsk_prior
 from .optim import SolverConfig
 from .soav import default_offset, solve_weights
@@ -137,7 +136,7 @@ def _usable_cpus() -> int:
 def _experiment_from_args(args) -> ExperimentConfig:
     """The sweep that the parsed command line ``args`` asks for."""
     axis = "rho" if args.command == "sweep-rho" else "snr_db"
-    # A fresh interpreter holds no threads, so forking workers is safe here,
+    # A fresh interpreter holds no threads, so forking children is safe here,
     # unlike in a library caller's process: see ExperimentConfig.parallelism.
     base = {"parallelism": _usable_cpus(),
             **(_ORACLE_DEFAULTS if args.command == "oracle-compare" else {})}
@@ -191,7 +190,8 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict):
     parser.add_argument("--seed", dest="master_seed", type=int,
                         help=f"master seed {shown('master_seed')}")
     parser.add_argument("--parallelism", type=int,
-                        help="worker processes (default: the CPUs this process may use)")
+                        help="processes that run trials, this one included"
+                        " (default: the CPUs this process may use)")
     parser.add_argument("--fix-matrix", action="store_true", default=None,
                         help="reuse one mixing matrix for every trial")
     parser.add_argument("--detectors", help="comma list, e.g. lmmse,lasso,map-soav")
@@ -255,12 +255,14 @@ def main(argv=None) -> int:
         return 0
     except TrialError as exc:
         # A trial failed inside the program rather than on its input, so show
-        # where: the traceback of the cause (from a worker, its remote text).
-        if exc.__cause__ is not None:
+        # where: the traceback of the cause, which a forked child sends as text.
+        if isinstance(exc.__cause__, RemoteTraceback):
+            print(exc.__cause__, end="", file=sys.stderr)
+        elif exc.__cause__ is not None:
             traceback.print_exception(exc.__cause__, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, BrokenExecutor) as exc:
+    except (ValueError, OSError) as exc:  # OSError includes ChildProcessError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,10 +13,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import logging
 import math
-import multiprocessing
+import os
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -29,6 +32,7 @@ from .soav import SingularWeightSystemError, default_offset, solve_weights
 
 __all__ = [
     "ExperimentConfig",
+    "RemoteTraceback",
     "TrialError",
     "TrialRecord",
     "SweepResult",
@@ -79,11 +83,12 @@ class ExperimentConfig:
     and leaves ``snr_db`` unset, matching the fixed-variance protocol). The
     swept axis may not repeat a point.
 
-    ``parallelism`` is the most worker processes ``run_sweep`` forks. It
-    defaults to 1, so a library call runs in the caller's process: forking a
-    process that may hold threads, as a host application can, is unsafe. The
-    CLI, which starts in a fresh interpreter, defaults to one worker per usable
-    CPU instead.
+    ``parallelism`` is the most processes that run trials, the sweep's own
+    included: ``run_sweep`` forks at most ``parallelism - 1`` children. It
+    defaults to 1, so a library call runs in the caller's process alone:
+    forking a process that may hold threads, as a host application can, is
+    unsafe. The CLI, which starts in a fresh interpreter, defaults to one
+    process per usable CPU instead.
     """
 
     n_users: int = 100
@@ -192,7 +197,7 @@ class TrialError(RuntimeError):
 
     def __init__(self, master_seed: int, axis: str, axis_value: float,
                  trial_index: int, reason: str):
-        # All five go to args, so the error pickles back out of a worker.
+        # All five go to args, so the error pickles back out of a forked child.
         super().__init__(master_seed, axis, axis_value, trial_index, reason)
         self.master_seed = master_seed
         self.axis = axis
@@ -205,6 +210,17 @@ class TrialError(RuntimeError):
             f"trial {self.trial_index} at {self.axis}={self.axis_value!r} with"
             f" master_seed={self.master_seed} failed: {self.reason}"
         )
+
+
+class RemoteTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked child.
+
+    A traceback does not pickle, so a child sends its text instead, and it
+    stands as the ``__cause__`` of the ``TrialError`` the child sent.
+    """
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -238,7 +254,7 @@ class SweepResult:
 def _fixed_matrix(master_seed: int, n_meas: int, n_users: int) -> np.ndarray:
     """The S shared by every trial of a fix-matrix sweep, drawn once per process.
 
-    It comes from its own stream, so a worker that draws it anew gets the
+    It comes from its own stream, so a child process that draws it anew gets the
     same bits. The array is read-only, because every trial is handed it.
     """
     S = gaussian_matrix(n_meas, n_users, substream(master_seed, _MATRIX_STREAM_KEY))
@@ -362,10 +378,10 @@ def _blas_thread_functions():
 def _one_blas_thread():
     """Hold numpy's BLAS at one thread inside the block, then restore the count.
 
-    Workers forked inside the block inherit the single thread. With more, an
-    idle OpenBLAS helper thread in each worker spins on the CPU the other
-    workers need; limiting each worker after the fork instead starts such a
-    thread in every one of them. Serial sweeps run inside it too, so every
+    Children forked inside the block inherit the single thread. With more, an
+    idle OpenBLAS helper thread in each process spins on the CPU the others
+    need; limiting each child after the fork instead starts such a thread in
+    every one of them. Serial sweeps run inside it too, so every
     sweep has one BLAS policy; at paper scale they also ran faster on one thread.
     """
     functions = _blas_thread_functions()
@@ -381,39 +397,129 @@ def _one_blas_thread():
         set_threads(previous)
 
 
+def _run_shard(config: ExperimentConfig, values, indices, shard: int, processes: int):
+    """Run positions ``shard``, ``shard + processes``, ... of the flattened trials.
+
+    Returns ``(records, failure)``: the records in position order, and None or
+    ``(position, TrialError, cause)`` for the first trial that raised, at
+    which the shard stops.
+    """
+    records = []
+    for position in range(shard, len(values), processes):
+        try:
+            records.append(run_trial(config, values[position], indices[position]))
+        except TrialError as exc:
+            return records, (position, exc, exc.__cause__)
+    return records, None
+
+
+def _run_child(config: ExperimentConfig, values, indices, shard: int, processes: int,
+               write_fd: int):
+    """Run one shard in a forked child, pickle its outcome into the pipe, exit.
+
+    It never returns: exit status 0 means the whole outcome was written.
+    """
+    status = 1
+    try:
+        records, failure = _run_shard(config, values, indices, shard, processes)
+        if failure is not None:
+            position, exc, cause = failure
+            if cause is not None:
+                cause = RemoteTraceback("".join(traceback.format_exception(cause)))
+            failure = position, exc, cause
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump((records, failure), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except BaseException:
+        # Printed here, because os._exit ends the child before Python would.
+        traceback.print_exc()
+        sys.stderr.flush()
+        raise
+    finally:
+        os._exit(status)
+
+
+def _lost_child(config: ExperimentConfig, status: int) -> ChildProcessError:
+    """The error for a child that ended, with wait ``status``, before sending its outcome."""
+    if os.WIFSIGNALED(status):
+        how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    elif status:
+        how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+    else:
+        how = "sent no results"
+    return ChildProcessError(
+        f"a child process {how} during the sweep with master_seed"
+        f"={config.master_seed}; no results were kept"
+    )
+
+
+def _fork_join(config: ExperimentConfig, values, indices, processes: int) -> list:
+    """The records of every trial, run on ``processes`` processes, in sweep order.
+
+    Position j of the flattened trials goes to shard j mod ``processes``;
+    this process runs shard 0 and forks one child per other shard, so with
+    one process the sweep runs here alone.
+    """
+    children = []  # (pid, read end of its pipe), in shard order, until reaped
+    try:
+        for shard in range(1, processes):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_child(config, values, indices, shard, processes, write_fd)
+            # Closed at once, so no later child holds it: EOF on the pipe then
+            # means that this child is done.
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        outcomes = [_run_shard(config, values, indices, 0, processes)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status or not data:
+                raise _lost_child(config, status)
+            outcomes.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # A shard stops at its first failure, so the earliest of these is the
+    # earliest failing trial of the sweep: the one a serial run names.
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        _, exc, cause = min(failures, key=lambda failure: failure[0])
+        raise exc from cause
+    records = [None] * len(values)
+    for shard, (shard_records, _) in enumerate(outcomes):
+        records[shard::processes] = shard_records
+    return records
+
+
 def run_sweep(config: ExperimentConfig) -> list:
     """Run all axis points; returns one SweepResult per point, in axis order.
 
-    The trials run on ``min(parallelism, trials x axis points)`` worker
-    processes, forked, or in this process when that is 1; either way with a
-    single BLAS thread. A worker that dies (killed, or out of memory) raises
-    ``BrokenProcessPool`` naming the sweep's master seed. A trial that raises,
-    serially or in a worker, raises ``TrialError`` naming the trial.
+    The trials run on ``min(parallelism, trials x axis points)`` processes,
+    with a single BLAS thread each. This process runs one shard of them and
+    forks a child for each other shard; position j of the flattened (axis
+    point, trial) list goes to shard j mod the process count. A child that dies (killed,
+    or out of memory) or sends nothing raises ``ChildProcessError`` naming
+    the sweep's master seed, and no child is left running. A trial that
+    raises, in any process, raises ``TrialError`` naming the trial; when
+    several do, the earliest in sweep order, as in a serial run. A child's
+    ``TrialError`` has a ``RemoteTraceback`` of its cause as ``__cause__``.
     """
     values = [value for value in config.axis_points for _ in range(config.trials)]
     indices = [index for _ in config.axis_points for index in range(config.trials)]
-    workers = min(config.parallelism, len(values))
     with _one_blas_thread():
-        if workers > 1:
-            # Imported here, because importing it costs every serial run ~7 ms of start-up.
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-            # Rounded up, so chunks split evenly: 18 trials on 2 workers are 6 chunks of 3.
-            chunk = math.ceil(len(values) / (4 * workers))
-            # fork, not spawn: a spawned worker re-imports numpy, which costs more
-            # than the trials of a short sweep, and would not inherit the limit.
-            fork = multiprocessing.get_context("fork")
-            try:
-                with ProcessPoolExecutor(workers, fork) as pool:
-                    records = list(pool.map(run_trial, itertools.repeat(config), values,
-                                            indices, chunksize=chunk))
-            except BrokenProcessPool as exc:
-                raise BrokenProcessPool(
-                    f"a worker process died during the sweep with master_seed"
-                    f"={config.master_seed}; no results were kept"
-                ) from exc
-        else:
-            records = [run_trial(config, value, index) for value, index in zip(values, indices)]
+        records = _fork_join(config, values, indices, min(config.parallelism, len(values)))
     results = []
     for i, axis_value in enumerate(config.axis_points):
         block = records[i * config.trials : (i + 1) * config.trials]
@@ -435,7 +541,7 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
         f" fix_matrix={config.fix_matrix}",
     ]
     # Parallelism is an execution detail, not an experiment parameter, and is
-    # deliberately left out so output is identical for any worker count.
+    # deliberately left out so output is identical for any process count.
     if config.axis == "rho":
         lines.append(f"# sigma_w2={_fmt(config.sigma_w2_override)}")
     else:
@@ -469,7 +575,7 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
             if count:
                 lines.append(f"# failures {config.axis}={_fmt(res.axis_value)} {kind}: {count}")
     # Iteration counts, cap hits and residuals depend only on the trials, never
-    # on the worker count, so these lines keep the output byte-identical too.
+    # on the process count, so these lines keep the output byte-identical too.
     # The residual gets two digits: enough for its order of magnitude.
     for res in results:
         for kind, mean in res.mean_iterations.items():

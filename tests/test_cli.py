@@ -149,7 +149,7 @@ class TestWorkers:
     def test_pooled_detector_failures_are_logged_to_stderr(self, tmp_path):
         proc = _run_diverging(tmp_path, {}, "--trials", "4", "--parallelism", "2")
         assert proc.returncode == 0, proc.stderr
-        # The two workers' lines may interleave, but each arrives whole.
+        # The two processes' lines may interleave, but each arrives whole.
         assert sorted(proc.stderr.splitlines(keepends=True)) == [
             _divergence_warning(i) for i in range(4)
         ]
@@ -442,6 +442,30 @@ class TestCommands:
             " RuntimeError: injected fault\n"
         )
         # The cause's traceback shows where the trial failed.
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert "in failing\n" in err
+        assert "RuntimeError: injected fault\nerror: " in err
+
+    def test_failing_trial_in_a_child_is_named(self, monkeypatch, capsys):
+        sweep_pid = os.getpid()
+        real = harness.run_detector
+
+        def failing(instance, prior, config):
+            if os.getpid() != sweep_pid:  # the child runs trials 1 and 3; 1 fails
+                raise RuntimeError("injected fault")
+            return real(instance, prior, config)
+
+        monkeypatch.setattr(harness, "run_detector", failing)
+        code = main(["simulate", "--users", "8", "--meas", "6", "--trials", "4",
+                     "--snr", "12", "--seed", "13", "--detectors", "lmmse",
+                     "--parallelism", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "\nerror: trial 1 at snr_db=12.0 with master_seed=13 failed:"
+            " RuntimeError: injected fault\n"
+        )
+        # The child's traceback, sent as text, reads as a serial run's does.
         assert err.startswith("Traceback (most recent call last):\n")
         assert "in failing\n" in err
         assert "RuntimeError: injected fault\nerror: " in err

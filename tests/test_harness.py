@@ -6,6 +6,7 @@ import itertools
 import logging
 import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -366,7 +367,7 @@ class TestRunSweep:
     def test_parallelism_keeps_csv_bytes_at_paper_scale(self):
         # At N = 100, M = 70 LMMSE's 70x100x70 product is large enough for
         # OpenBLAS to split across threads. Both runs hold it to one thread:
-        # the serial run in this process, the pooled run in each worker.
+        # the serial run in this process, the pooled run in each of its processes.
         def csv_text(parallelism):
             cfg = ExperimentConfig(
                 n_users=100, n_meas=70, trials=3, rho=0.8, snr_db=(12.0, 16.0),
@@ -378,6 +379,16 @@ class TestRunSweep:
 
         assert csv_text(1) == csv_text(2)
 
+    def test_uneven_shards_keep_csv_bytes(self):
+        # 14 trials on 3 processes are shards of 5, 5 and 4; on 8, of 2 and 1.
+        def csv_text(parallelism):
+            buf = io.StringIO()
+            emit_csv(run_sweep(small_config(trials=7, parallelism=parallelism)), buf)
+            return buf.getvalue()
+
+        serial = csv_text(1)
+        assert [csv_text(p) for p in (2, 3, 8)] == [serial] * 3
+
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_pool_workers_run_one_blas_thread(self, monkeypatch, tmp_path, parallelism):
         functions = harness._blas_thread_functions()
@@ -387,8 +398,7 @@ class TestRunSweep:
         real_synthesize = harness.synthesize
         counter = itertools.count()
 
-        # The pool pickles run_trial by name, so a stand-in for it must be
-        # importable; synthesize, which each trial calls once, need not be.
+        # Each trial calls synthesize once, in the process that runs it.
         def reporting(*args, **kwargs):
             report = tmp_path / f"{os.getpid()}-{next(counter)}"
             report.write_text(str(get_threads()))
@@ -406,8 +416,9 @@ class TestRunSweep:
         assert after == before
         reports = list(tmp_path.iterdir())
         assert len(reports) == 16
-        in_process = [r.name.startswith(f"{os.getpid()}-") for r in reports]
-        assert all(in_process) if parallelism == 1 else not any(in_process)
+        # The sweep's own process runs one shard and forks a child per other.
+        pids = {r.name.split("-")[0] for r in reports}
+        assert len(pids) == parallelism and str(os.getpid()) in pids
         assert {r.read_text() for r in reports} == {"1"}
 
     def test_no_more_workers_than_trials(self, monkeypatch):
@@ -462,25 +473,27 @@ class TestTrialError:
     """A non-recoverable exception names the trial that raised it."""
 
     @staticmethod
-    def fail_at(monkeypatch, cfg, axis_value, trial_index):
-        """Make run_detector raise on the realization of one trial only."""
+    def fail_at(monkeypatch, cfg, *trials):
+        """Make run_detector raise on the realizations of the (axis value, trial
+        index) pairs ``trials`` only."""
         made = capture_instances(monkeypatch)
-        run_trial(cfg, axis_value, trial_index)
-        target = made[0].y
+        for axis_value, trial_index in trials:
+            run_trial(cfg, axis_value, trial_index)
+        targets = [instance.y for instance in made]
         real = harness.run_detector
 
         def failing(instance, prior, config):
-            if np.array_equal(instance.y, target):
+            if any(np.array_equal(instance.y, target) for target in targets):
                 raise RuntimeError("injected fault")
             return real(instance, prior, config)
 
-        # Forked workers inherit the patched module attribute.
+        # Forked children inherit the patched module attribute.
         monkeypatch.setattr(harness, "run_detector", failing)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_sweep_names_the_failing_trial(self, monkeypatch, parallelism):
         cfg = small_config(parallelism=parallelism)
-        self.fail_at(monkeypatch, cfg, 14.0, 5)
+        self.fail_at(monkeypatch, cfg, (14.0, 5))
         with pytest.raises(TrialError) as info:
             run_sweep(cfg)
         err = info.value
@@ -489,9 +502,19 @@ class TestTrialError:
         assert "RuntimeError: injected fault" in str(err)
         assert "trial 5 at snr_db=14.0 with master_seed=5" in str(err)
 
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
+    def test_earliest_of_two_failing_trials_is_named(self, monkeypatch, parallelism):
+        # Sweep positions 3 and 8 of 16. On 2 processes 3 is a child's and 8
+        # the sweep process's own; on 3 processes it is the other way round.
+        cfg = small_config(parallelism=parallelism)
+        self.fail_at(monkeypatch, cfg, (10.0, 3), (14.0, 0))
+        with pytest.raises(TrialError) as info:
+            run_sweep(cfg)
+        assert (info.value.axis_value, info.value.trial_index) == (10.0, 3)
+
     def test_run_trial_replays_it(self, monkeypatch):
         cfg = small_config()
-        self.fail_at(monkeypatch, cfg, 14.0, 5)
+        self.fail_at(monkeypatch, cfg, (14.0, 5))
         run_trial(cfg, 14.0, 4)
         with pytest.raises(TrialError, match="trial 5 at snr_db=14.0"):
             run_trial(cfg, 14.0, 5)
@@ -503,6 +526,66 @@ class TestTrialError:
             record = run_trial(small_config(rho=0.2, detectors=(doomed,)), 10.0, 0)
         assert record.error_counts == {"map_soav": None}
         assert record.solves == {}
+
+
+class TestForkJoin:
+    """However a pooled sweep ends, it leaves no child process behind."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_child(self, monkeypatch):
+        sweep_pid = os.getpid()
+        real = harness.run_trial
+
+        def dying(config, axis_value, trial_index):
+            if os.getpid() != sweep_pid and trial_index == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(config, axis_value, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", dying)
+        with pytest.raises(ChildProcessError, match="SIGKILL .* master_seed=5; no results"):
+            run_sweep(small_config(parallelism=3))
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("trial", [(10.0, 0), (14.0, 5)], ids=["own-shard", "child-shard"])
+    def test_trial_error(self, monkeypatch, trial):
+        cfg = small_config(parallelism=2)
+        TestTrialError.fail_at(monkeypatch, cfg, trial)
+        with pytest.raises(TrialError):
+            run_sweep(cfg)
+        self.assert_no_child_left()
+
+    def test_interrupted_own_shard(self, monkeypatch):
+        # An exception that is no TrialError ends the sweep at once: the
+        # children still running are killed.
+        class Interrupt(BaseException):
+            pass
+
+        sweep_pid = os.getpid()
+        real = harness.run_trial
+
+        def interrupted(config, axis_value, trial_index):
+            if os.getpid() == sweep_pid:
+                raise Interrupt
+            return real(config, axis_value, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", interrupted)
+        with pytest.raises(Interrupt):
+            run_sweep(small_config(parallelism=3))
+        self.assert_no_child_left()
+
+    def test_child_traceback_is_the_cause(self, monkeypatch):
+        cfg = small_config(parallelism=2)
+        TestTrialError.fail_at(monkeypatch, cfg, (14.0, 5))
+        with pytest.raises(TrialError) as info:
+            run_sweep(cfg)
+        cause = info.value.__cause__
+        assert isinstance(cause, harness.RemoteTraceback)
+        assert str(cause).startswith("Traceback (most recent call last):\n")
+        assert str(cause).endswith("RuntimeError: injected fault\n")
 
 
 class TestSolverMetadata:
