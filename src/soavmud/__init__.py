@@ -22,7 +22,6 @@ from .detectors import (
 )
 from .harness import (
     ExperimentConfig,
-    RemoteTraceback,
     SweepResult,
     TrialError,
     TrialRecord,

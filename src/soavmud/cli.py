@@ -21,10 +21,9 @@ import json
 import math
 import os
 import sys
-import traceback
 
 from .detectors import DETECTOR_KINDS, DetectorConfig
-from .harness import ExperimentConfig, RemoteTraceback, TrialError, emit_csv, run_sweep
+from .harness import ExperimentConfig, TrialError, emit_csv, run_sweep
 from .model import bpsk_prior
 from .optim import SolverConfig
 from .soav import default_offset, solve_weights
@@ -125,6 +124,16 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that writing the CSV to ``path`` would, leaving ``path`` as it was."""
+    try:
+        open(path, "xb").close()
+    except FileExistsError:
+        open(path, "ab").close()  # closed unwritten, so the file keeps its bytes
+    else:
+        os.remove(path)
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -203,7 +212,7 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict):
     parser.add_argument("--rel-tol", dest="rel_tol", type=float,
                         help=f"solver stopping tolerance {shown('rel_tol')} on the fixed-point"
                         " residual, tested every 10 iterations; 0 runs every iteration")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("--out", help="output CSV path, checked before the sweep (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,18 +260,16 @@ def main(argv=None) -> int:
             print(f"q=[{q_text}]")
             print(f"convex={weights.convex}")
             return 0
-        emit_csv(run_sweep(_experiment_from_args(args)), args.out or sys.stdout)
+        config = _experiment_from_args(args)
+        if args.out:  # before the sweep, which at paper scale runs for minutes
+            _check_writable(args.out)
+        emit_csv(run_sweep(config), args.out or sys.stdout)
         return 0
-    except TrialError as exc:
-        # A trial failed inside the program rather than on its input, so show
-        # where: the traceback of the cause, which a forked child sends as text.
-        if isinstance(exc.__cause__, RemoteTraceback):
-            print(exc.__cause__, end="", file=sys.stderr)
-        elif exc.__cause__ is not None:
-            traceback.print_exception(exc.__cause__, file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # OSError includes ChildProcessError
+    except (TrialError, ValueError, OSError) as exc:  # OSError includes ChildProcessError
+        if isinstance(exc, TrialError):
+            # A trial failed inside the program rather than on its input, so
+            # show where: the traceback of its cause.
+            print(exc.details, end="", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

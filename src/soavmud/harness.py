@@ -10,6 +10,7 @@ execution order and of the degree of parallelism.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -32,7 +33,6 @@ from .soav import SingularWeightSystemError, default_offset, solve_weights
 
 __all__ = [
     "ExperimentConfig",
-    "RemoteTraceback",
     "TrialError",
     "TrialRecord",
     "SweepResult",
@@ -192,35 +192,28 @@ class TrialError(RuntimeError):
     """A trial raised an exception that is no recoverable detector failure.
 
     It names the keys that replay the trial: ``run_trial(config, axis_value,
-    trial_index)`` with a config of the same ``master_seed``.
+    trial_index)`` with a config of the same ``master_seed``. ``details`` is
+    the formatted traceback of the cause, the same text whichever process
+    ran the trial.
     """
 
     def __init__(self, master_seed: int, axis: str, axis_value: float,
-                 trial_index: int, reason: str):
-        # All five go to args, so the error pickles back out of a forked child.
-        super().__init__(master_seed, axis, axis_value, trial_index, reason)
+                 trial_index: int, reason: str, details: str):
+        # All six go to args, so the error pickles back out of a forked child;
+        # a traceback does not pickle, so its text goes as ``details``.
+        super().__init__(master_seed, axis, axis_value, trial_index, reason, details)
         self.master_seed = master_seed
         self.axis = axis
         self.axis_value = axis_value
         self.trial_index = trial_index
         self.reason = reason
+        self.details = details
 
     def __str__(self) -> str:
         return (
             f"trial {self.trial_index} at {self.axis}={self.axis_value!r} with"
             f" master_seed={self.master_seed} failed: {self.reason}"
         )
-
-
-class RemoteTraceback(Exception):
-    """The formatted traceback of an exception raised in a forked child.
-
-    A traceback does not pickle, so a child sends its text instead, and it
-    stands as the ``__cause__`` of the ``TrialError`` the child sent.
-    """
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -243,6 +236,7 @@ class SweepResult:
     means: dict            # detector kind -> mean error ratio over successful trials
     std_errs: dict         # detector kind -> standard error of that mean
     failures: dict         # detector kind -> number of failed trials
+    failure_reasons: dict  # detector kind -> Counter of the reasons its trials failed
     config: ExperimentConfig
     mean_iterations: dict  # solver kind -> mean iterations of its successful solves
     cap_hits: dict         # solver kind -> solves that stopped at max_iters unconverged
@@ -298,12 +292,12 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
     except Exception as exc:
         raise TrialError(
             config.master_seed, config.axis, float(axis_value), trial_index,
-            f"{type(exc).__name__}: {exc}",
+            f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc)),
         ) from exc
 
 
 def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepResult:
-    means, std_errs, failures = {}, {}, {}
+    means, std_errs, failures, failure_reasons = {}, {}, {}, {}
     mean_iterations, cap_hits, median_residuals = {}, {}, {}
     for det in config.detectors:
         solves = [rec.solves[det.kind] for rec in records if det.kind in rec.solves]
@@ -325,6 +319,9 @@ def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepRes
             ]
         )
         failures[det.kind] = config.trials - ratios.size
+        failure_reasons[det.kind] = collections.Counter(
+            rec.failure_reasons[det.kind] for rec in records if det.kind in rec.failure_reasons
+        )
         if ratios.size == 0:
             means[det.kind] = float("nan")
             std_errs[det.kind] = float("nan")
@@ -340,6 +337,7 @@ def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepRes
         means=means,
         std_errs=std_errs,
         failures=failures,
+        failure_reasons=failure_reasons,
         config=config,
         mean_iterations=mean_iterations,
         cap_hits=cap_hits,
@@ -401,15 +399,15 @@ def _run_shard(config: ExperimentConfig, values, indices, shard: int, processes:
     """Run positions ``shard``, ``shard + processes``, ... of the flattened trials.
 
     Returns ``(records, failure)``: the records in position order, and None or
-    ``(position, TrialError, cause)`` for the first trial that raised, at
-    which the shard stops.
+    ``(position, TrialError)`` for the first trial that raised, at which the
+    shard stops.
     """
     records = []
     for position in range(shard, len(values), processes):
         try:
             records.append(run_trial(config, values[position], indices[position]))
         except TrialError as exc:
-            return records, (position, exc, exc.__cause__)
+            return records, (position, exc)
     return records, None
 
 
@@ -421,14 +419,9 @@ def _run_child(config: ExperimentConfig, values, indices, shard: int, processes:
     """
     status = 1
     try:
-        records, failure = _run_shard(config, values, indices, shard, processes)
-        if failure is not None:
-            position, exc, cause = failure
-            if cause is not None:
-                cause = RemoteTraceback("".join(traceback.format_exception(cause)))
-            failure = position, exc, cause
+        outcome = _run_shard(config, values, indices, shard, processes)
         with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump((records, failure), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     except BaseException:
         # Printed here, because os._exit ends the child before Python would.
@@ -495,8 +488,7 @@ def _fork_join(config: ExperimentConfig, values, indices, processes: int) -> lis
     # earliest failing trial of the sweep: the one a serial run names.
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
-        _, exc, cause = min(failures, key=lambda failure: failure[0])
-        raise exc from cause
+        raise min(failures, key=lambda failure: failure[0])[1]
     records = [None] * len(values)
     for shard, (shard_records, _) in enumerate(outcomes):
         records[shard::processes] = shard_records
@@ -513,8 +505,9 @@ def run_sweep(config: ExperimentConfig) -> list:
     or out of memory) or sends nothing raises ``ChildProcessError`` naming
     the sweep's master seed, and no child is left running. A trial that
     raises, in any process, raises ``TrialError`` naming the trial; when
-    several do, the earliest in sweep order, as in a serial run. A child's
-    ``TrialError`` has a ``RemoteTraceback`` of its cause as ``__cause__``.
+    several do, the earliest in sweep order, as in a serial run. Its
+    ``details`` hold the cause's traceback; only one raised in this process
+    keeps the cause itself as ``__cause__``.
     """
     values = [value for value in config.axis_points for _ in range(config.trials)]
     indices = [index for _ in config.axis_points for index in range(config.trials)]
@@ -573,7 +566,12 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
     for res in results:
         for kind, count in res.failures.items():
             if count:
-                lines.append(f"# failures {config.axis}={_fmt(res.axis_value)} {kind}: {count}")
+                where = f"{config.axis}={_fmt(res.axis_value)} {kind}"
+                lines.append(f"# failures {where}: {count}")
+                # A reason spread over several lines would end its '#' line early.
+                for reason, n in sorted(res.failure_reasons[kind].items()):
+                    one_line = " ".join(reason.splitlines())
+                    lines.append(f"# failure_reason {where}: {n} x {one_line}")
     # Iteration counts, cap hits and residuals depend only on the trials, never
     # on the process count, so these lines keep the output byte-identical too.
     # The residual gets two digits: enough for its order of magnitude.
@@ -593,10 +591,10 @@ def emit_csv(results, destination) -> None:
 
     Columns: axis,axis_value,detector,trials,error_ratio,std_err,master_seed.
     The trials column counts the trials actually averaged (failed trials are
-    excluded and reported in the metadata). For lasso and map_soav the
-    metadata also gives, per axis point, the mean solver iterations, how
-    many solves hit the iteration cap without converging, and the median
-    fixed-point residual of the estimates.
+    excluded and reported in the metadata, with a count per distinct reason).
+    For lasso and map_soav the metadata also gives, per axis point, the mean
+    solver iterations, how many solves hit the iteration cap without
+    converging, and the median fixed-point residual of the estimates.
     """
     if not results:
         raise ValueError("no results to emit")

@@ -223,13 +223,10 @@ def synthesize(
     gains,
     sigma_w2: float,
     rng: np.random.Generator,
-    noiseless: bool = False,
 ) -> SystemInstance:
     """Draw (b, w) and assemble one realization of y = S A b + w.
 
-    ``gains`` is the length-N diagonal of A. With ``noiseless=True`` the
-    noise is forced to zero (exact-recovery test mode); sigma_w2 is still
-    recorded for use in detector objectives.
+    ``gains`` is the length-N diagonal of A.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
@@ -241,10 +238,7 @@ def synthesize(
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError("sigma_w2 must be positive and finite")
     b = _draw_symbols(prior, n, rng)
-    if noiseless:
-        w = np.zeros(m)
-    else:
-        w = rng.normal(0.0, np.sqrt(sigma_w2), size=m)
+    w = rng.normal(0.0, np.sqrt(sigma_w2), size=m)
     y = S.dot(gains * b) + w
     return SystemInstance(S=S, gains=gains, sigma_w2=float(sigma_w2), b=b, w=w, y=y)
 

@@ -2,12 +2,15 @@
 
 Everything here deliberately uses the dumbest correct method available
 (full decompositions, exhaustive candidate enumeration, unaccelerated
-iterations, dense grids) and never calls the library code it checks.
+iterations, dense grids) and never calls the library code it checks;
+``noiseless_instance`` only packs its own draw into a ``SystemInstance``.
 """
 
 import math
 
 import numpy as np
+
+from soavmud.model import SystemInstance
 
 
 def prox_objective_1d(u, v, gamma, q, alphabet):
@@ -261,3 +264,16 @@ def central_difference_gradient(fun, x, h=1e-6):
         grad[i] = (fun(up) - fun(dn)) / (2.0 * h)
     return grad
 
+
+def noiseless_instance(prior, S, gains, sigma_w2, rng):
+    """A realization with w = 0, so y = S A b exactly.
+
+    b is drawn as ``synthesize`` draws it, by ``rng.choice`` with the prior's
+    probabilities, so a stream gives the same symbols. ``sigma_w2`` is only
+    recorded, for the detectors' objectives.
+    """
+    S = np.asarray(S, dtype=float)
+    gains = np.asarray(gains, dtype=float)
+    b = rng.choice(prior.alphabet, size=S.shape[1], p=prior.probs)
+    return SystemInstance(S=S, gains=gains, sigma_w2=sigma_w2, b=b,
+                          w=np.zeros(S.shape[0]), y=S.dot(gains * b))

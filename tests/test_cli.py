@@ -14,6 +14,7 @@ import pytest
 import soavmud
 from soavmud import cli, harness
 from soavmud.cli import main, parse_axis, parse_detectors
+from soavmud.detectors import DetectorConfig
 
 
 def _run_python(*args, max_memory=None):
@@ -123,6 +124,12 @@ def _divergence_warning(trial):
             " non-finite iterate)\n")
 
 
+def _divergence_lines(trials):
+    """The CSV's failure lines when all ``trials`` map_soav solves of ``_run_diverging`` fail."""
+    return (f"# failures snr_db=12 map_soav: {trials}\n# failure_reason snr_db=12 map_soav:"
+            f" {trials} x DivergenceError: solver produced a non-finite iterate\n")
+
+
 class TestWorkers:
     @pytest.mark.parametrize("argv", [
         ["simulate"],
@@ -147,13 +154,14 @@ class TestWorkers:
         assert _config_of(monkeypatch, argv + ["--parallelism", "1"]).parallelism == 1
 
     def test_pooled_detector_failures_are_logged_to_stderr(self, tmp_path):
-        proc = _run_diverging(tmp_path, {}, "--trials", "4", "--parallelism", "2")
-        assert proc.returncode == 0, proc.stderr
-        # The two processes' lines may interleave, but each arrives whole.
-        assert sorted(proc.stderr.splitlines(keepends=True)) == [
-            _divergence_warning(i) for i in range(4)
-        ]
-        assert "# failures snr_db=12 map_soav: 4\n" in proc.stdout
+        for parallelism in ("2", "3"):
+            proc = _run_diverging(tmp_path, {}, "--trials", "4", "--parallelism", parallelism)
+            assert proc.returncode == 0, proc.stderr
+            # The processes' lines may interleave, but each arrives whole.
+            assert sorted(proc.stderr.splitlines(keepends=True)) == [
+                _divergence_warning(i) for i in range(4)
+            ]
+            assert _divergence_lines(4) in proc.stdout
 
 
 class TestCommands:
@@ -419,7 +427,7 @@ class TestCommands:
         proc = _run_diverging(tmp_path, entry, "--trials", "2", "--parallelism", "1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "".join(_divergence_warning(i) for i in range(2))
-        assert "# failures snr_db=12 map_soav: 2\n" in proc.stdout
+        assert _divergence_lines(2) in proc.stdout
 
     def test_failing_trial_is_named(self, monkeypatch, capsys):
         calls = []
@@ -469,6 +477,51 @@ class TestCommands:
         assert err.startswith("Traceback (most recent call last):\n")
         assert "in failing\n" in err
         assert "RuntimeError: injected fault\nerror: " in err
+
+    def test_trial_error_stderr_does_not_depend_on_the_process(self, monkeypatch, capsys):
+        # Trial 3 of 4 is the sweep process's own at 1 and 3 processes, a child's at 2.
+        real = harness.substream
+
+        def failing(master_seed, *keys):
+            if keys[-1] == 3:
+                raise RuntimeError("injected fault")
+            return real(master_seed, *keys)
+
+        monkeypatch.setattr(harness, "substream", failing)
+        cfg = harness.ExperimentConfig(n_users=8, n_meas=6, trials=4, snr_db=12.0,
+                                       master_seed=13, detectors=(DetectorConfig("lmmse"),))
+        with pytest.raises(harness.TrialError) as info:
+            harness.run_trial(cfg, 12.0, 3)
+        expected = f"{info.value.details}error: {info.value}\n"
+        for parallelism in ("1", "2", "3"):
+            code = main(["simulate", "--users", "8", "--meas", "6", "--trials", "4",
+                         "--snr", "12", "--seed", "13", "--detectors", "lmmse",
+                         "--parallelism", parallelism])
+            assert code == 1
+            assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("out", ["missing-dir/out.csv", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_out_fails_before_the_sweep(self, monkeypatch, capsys, tmp_path, out):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        code = main(["simulate", "--trials", "1", "--out", str(tmp_path / out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+
+    def test_failed_sweep_leaves_out_as_it_was(self, monkeypatch, capsys, tmp_path):
+        def failing(config):
+            raise ChildProcessError("a child process was killed")
+
+        monkeypatch.setattr(cli, "run_sweep", failing)
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_text("old bytes\n")
+        for out in (kept, absent):
+            assert main(["simulate", "--trials", "1", "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: a child process was killed\n"
+        assert kept.read_text() == "old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
 
     def test_nan_sigma2_returns_error_code(self, capsys):
         code = main([

@@ -6,7 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from oracles import exhaustive_map_reference, map_lattice_objective, soft_threshold
+from oracles import (
+    exhaustive_map_reference,
+    map_lattice_objective,
+    noiseless_instance,
+    soft_threshold,
+)
 from soavmud import detectors
 from soavmud.detectors import (
     DetectorConfig,
@@ -83,7 +88,7 @@ class TestLmmse:
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         S = q[:6]
-        inst = synthesize(BINARY, S, np.ones(10), 1e-6, rng, noiseless=True)
+        inst = noiseless_instance(BINARY, S, np.ones(10), 1e-6, rng)
         result = lmmse(inst, BINARY)
         np.testing.assert_allclose(result.raw, S.T @ inst.y, atol=1e-4)
 
@@ -206,7 +211,7 @@ class TestMapSoav:
         for trial in range(100):
             rng = substream(777, trial)
             q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-            inst = synthesize(prior, q, np.ones(20), 1e-6, rng, noiseless=True)
+            inst = noiseless_instance(prior, q, np.ones(20), 1e-6, rng)
             result = map_soav(inst, prior, config)
             np.testing.assert_array_equal(result.decided, inst.b)
 
@@ -264,7 +269,7 @@ class TestExhaustiveMap:
         prior = bpsk_prior(0.5)
         rng = np.random.default_rng(8)
         S = gaussian_matrix(8, 8, rng)
-        inst = synthesize(prior, S, np.ones(8), 0.01, rng, noiseless=True)
+        inst = noiseless_instance(prior, S, np.ones(8), 0.01, rng)
         result = exhaustive_map(inst, prior)
         np.testing.assert_array_equal(result.decided, inst.b)
 

@@ -1,12 +1,15 @@
 """Tests for the Monte Carlo engine, aggregation, and CSV emission."""
 
+import dataclasses
 import functools
 import io
 import itertools
 import logging
 import os
+import pickle
 import re
 import signal
+import traceback
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from soavmud.harness import (
     run_trial,
 )
 from soavmud.model import bpsk_prior, gaussian_matrix, substream, synthesize
-from soavmud.optim import SolverConfig, lipschitz_bound
+from soavmud.optim import DivergenceError, SolverConfig, lipschitz_bound
 from soavmud.soav import default_offset, solve_weights
 
 
@@ -62,6 +65,13 @@ def count_spectral_work(monkeypatch):
     monkeypatch.setattr(model.SystemInstance, "gram", counting)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     return grams, eigs
+
+
+def csv_of(config) -> str:
+    """The CSV text of a sweep of ``config``."""
+    buf = io.StringIO()
+    emit_csv(run_sweep(config), buf)
+    return buf.getvalue()
 
 
 def small_config(**overrides):
@@ -421,6 +431,12 @@ class TestRunSweep:
         assert len(pids) == parallelism and str(os.getpid()) in pids
         assert {r.read_text() for r in reports} == {"1"}
 
+    def test_unknown_blas_leaves_the_thread_count_alone(self, monkeypatch):
+        # numpy built against a BLAS without a known thread-count symbol.
+        serial = csv_of(small_config())
+        monkeypatch.setattr(harness, "_blas_thread_functions", lambda: None)
+        assert csv_of(small_config(parallelism=2)) == serial
+
     def test_no_more_workers_than_trials(self, monkeypatch):
         # One trial leaves no work for a second process, so it runs in this
         # one, where the recording stand-in sees it.
@@ -465,8 +481,18 @@ class TestRunSweep:
         buf = io.StringIO()
         emit_csv(results, buf)
         text = buf.getvalue()
-        assert "# failures snr_db=10 map_soav: 3" in text
         assert "snr_db,10,map_soav,0,nan,nan,5" in text
+        expected = [
+            "# failures snr_db=10 map_soav: 3",
+            "# failure_reason snr_db=10 map_soav: 3 x DivergenceError: solver produced a"
+            " non-finite iterate",
+        ]
+        assert [l for l in text.splitlines() if l.startswith("# failure")] == expected
+        # The reasons come from the trial records, so no process count changes them.
+        for parallelism in (2, 3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                pooled = csv_of(dataclasses.replace(cfg, parallelism=parallelism))
+            assert [l for l in pooled.splitlines() if l.startswith("# failure")] == expected
 
 
 class TestTrialError:
@@ -511,6 +537,20 @@ class TestTrialError:
         with pytest.raises(TrialError) as info:
             run_sweep(cfg)
         assert (info.value.axis_value, info.value.trial_index) == (10.0, 3)
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
+    def test_details_are_the_traceback_of_the_cause(self, monkeypatch, parallelism):
+        # Position 13 of 16: the sweep process's own at 1 process, a child's at 2 and 3.
+        cfg = small_config(parallelism=parallelism)
+        self.fail_at(monkeypatch, cfg, (14.0, 5))
+        with pytest.raises(TrialError) as direct:
+            run_trial(cfg, 14.0, 5)
+        cause = direct.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert direct.value.details == "".join(traceback.format_exception(cause))
+        with pytest.raises(TrialError) as info:
+            run_sweep(cfg)
+        assert info.value.details == direct.value.details
 
     def test_run_trial_replays_it(self, monkeypatch):
         cfg = small_config()
@@ -577,15 +617,19 @@ class TestForkJoin:
             run_sweep(small_config(parallelism=3))
         self.assert_no_child_left()
 
-    def test_child_traceback_is_the_cause(self, monkeypatch):
+    def test_child_trial_error_pickles_with_its_details(self, monkeypatch):
+        # A traceback does not pickle, so a child's error arrives without a
+        # __cause__ and with the text of the cause's traceback as details.
         cfg = small_config(parallelism=2)
         TestTrialError.fail_at(monkeypatch, cfg, (14.0, 5))
         with pytest.raises(TrialError) as info:
             run_sweep(cfg)
-        cause = info.value.__cause__
-        assert isinstance(cause, harness.RemoteTraceback)
-        assert str(cause).startswith("Traceback (most recent call last):\n")
-        assert str(cause).endswith("RuntimeError: injected fault\n")
+        err = info.value
+        assert err.__cause__ is None
+        assert err.details.startswith("Traceback (most recent call last):\n")
+        assert err.details.endswith("RuntimeError: injected fault\n")
+        again = pickle.loads(pickle.dumps(err))
+        assert (again.args, again.details, str(again)) == (err.args, err.details, str(err))
 
 
 class TestSolverMetadata:
@@ -699,6 +743,25 @@ class TestEmitCsv:
             l for l in buf.getvalue().splitlines() if l.startswith("# weights")
         ]
         assert len(weight_lines) == 2
+
+    def test_failure_reasons_one_line_each_in_reason_order(self, monkeypatch):
+        # Serial, so the calls come in trial order: trial 0 fails one way,
+        # trials 1 and 2 another, with a reason that spans two lines.
+        faults = iter([np.linalg.LinAlgError("Singular matrix"),
+                       DivergenceError("first line\nsecond line"),
+                       DivergenceError("first line\nsecond line")])
+
+        def failing(instance, prior, config):
+            raise next(faults)
+
+        monkeypatch.setattr(harness, "run_detector", failing)
+        cfg = small_config(trials=3, snr_db=10.0, detectors=(DetectorConfig(kind="lasso"),))
+        lines = [l for l in csv_of(cfg).splitlines() if l.startswith("# failure")]
+        assert lines == [
+            "# failures snr_db=10 lasso: 3",
+            "# failure_reason snr_db=10 lasso: 2 x DivergenceError: first line second line",
+            "# failure_reason snr_db=10 lasso: 1 x LinAlgError: Singular matrix",
+        ]
 
     def test_empty_results_rejected(self):
         with pytest.raises(ValueError):

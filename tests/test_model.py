@@ -141,13 +141,6 @@ class TestSigmaFromSnr:
 
 
 class TestSynthesize:
-    def test_noiseless_identity_returns_symbols(self):
-        prior = bpsk_prior(0.5)
-        inst = synthesize(prior, np.eye(6), np.ones(6), 1e-6,
-                          np.random.default_rng(3), noiseless=True)
-        np.testing.assert_array_equal(inst.y, inst.b)
-        np.testing.assert_array_equal(inst.w, np.zeros(6))
-
     def test_deterministic_for_fixed_stream(self):
         prior = bpsk_prior(0.8)
         S = gaussian_matrix(7, 10, np.random.default_rng(11))

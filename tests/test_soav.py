@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    noiseless_instance,
     prox_1d_exhaustive,
     soft_threshold,
     ternary_prox_breakpoints,
@@ -149,16 +150,14 @@ class TestSoavObjective:
         prior = bpsk_prior(0.8)
         weights = solve_weights(prior, default_offset(prior))
         rng = np.random.default_rng(2)
-        inst = synthesize(prior, gaussian_matrix(7, 10, rng), np.ones(10), 0.5,
-                          rng, noiseless=True)
+        inst = noiseless_instance(prior, gaussian_matrix(7, 10, rng), np.ones(10), 0.5, rng)
         value = soav_objective(inst.b, inst, weights)
         assert value == pytest.approx(_soav_penalty(inst.b, weights))
 
     def test_hand_evaluated_l1_terms(self):
         prior = bpsk_prior(0.5)
         weights = SoavWeights(q=(1.0, 1.0, 1.0), c=0.0, alphabet=TERNARY)
-        inst = synthesize(prior, np.eye(2), np.ones(2), 1.0,
-                          np.random.default_rng(0), noiseless=True)
+        inst = noiseless_instance(prior, np.eye(2), np.ones(2), 1.0, np.random.default_rng(0))
         # Force x = 0, y = 0: only the l1 spread terms remain.
         inst = type(inst)(S=inst.S, gains=inst.gains, sigma_w2=1.0,
                           b=inst.b, w=np.zeros(2), y=np.zeros(2))
