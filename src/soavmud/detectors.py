@@ -106,7 +106,7 @@ def lmmse(
     """Linear MMSE estimate followed by the ternary quantizer.
 
     With symbol second moment m2 = E[b^2] the weight matrix is
-    m2 A S^T (m2 S A^2 S^T + sigma_w2 I)^-1; for the on-off BPSK prior
+    m2 S^T (m2 S S^T + sigma_w2 I)^-1; for the on-off BPSK prior
     m2 = 1 - rho. The M x M system is built from the instance's cached Gram
     and solved directly, no inverse is formed.
     """
@@ -114,15 +114,15 @@ def lmmse(
     G = instance.gram * m2
     # The diagonal of the C-ordered M x M matrix, as a strided view.
     G.reshape(-1)[:: G.shape[0] + 1] += instance.sigma_w2
-    raw = m2 * (instance.mix.T @ np.linalg.solve(G, instance.y))
+    raw = m2 * (instance.S.T @ np.linalg.solve(G, instance.y))
     return DetectionResult(raw=raw, decided=threshold_map(raw, alpha))
 
 
 def _solve(instance, scale, weights: SoavWeights, config: DetectorConfig) -> DetectionResult:
-    """Minimize scale * ||y - S A x||^2 + sum_l q_l ||x - r_l 1||_1; quantize.
+    """Minimize scale * ||y - S x||^2 + sum_l q_l ||x - r_l 1||_1; quantize.
 
     Convex weights run ``admm``, nonconvex ones ``fista``, both with the
-    prox ``ternary_prox``. Each solver reads sigma_max(S A)^2, and ``admm``
+    prox ``ternary_prox``. Each solver reads sigma_max(S)^2, and ``admm``
     its factor, from the instance's cache, so lasso and map_soav on one
     instance share one eigenvalue solve and one ADMM factor.
     """
@@ -139,7 +139,7 @@ def _solve(instance, scale, weights: SoavWeights, config: DetectorConfig) -> Det
 
 
 def lasso(instance: SystemInstance, config: DetectorConfig) -> DetectionResult:
-    """Solve min_x lam * ||y - S A x||^2 + ||x||_1, SOAV with q = (0, 1, 0), and quantize."""
+    """Solve min_x lam * ||y - S x||^2 + ||x||_1, SOAV with q = (0, 1, 0), and quantize."""
     return _solve(instance, config.lam, _L1_WEIGHTS, config)
 
 
@@ -149,7 +149,7 @@ def map_soav(
     """SOAV-regularized MAP detector.
 
     Calibrates the penalty weights from the prior, then minimizes
-    ||y - S A x||^2 / (2 sigma_w2) + sum_l q_l ||x - r_l 1||_1 with the
+    ||y - S x||^2 / (2 sigma_w2) + sum_l q_l ||x - r_l 1||_1 with the
     closed-form ternary prox, by ADMM when the weights are convex and by
     accelerated proximal gradient otherwise, and quantizes the result. A
     non-ternary prior raises ``UnsupportedAlphabetError`` from
@@ -199,7 +199,7 @@ def exhaustive_map(instance: SystemInstance, prior: SymbolPrior) -> DetectionRes
         raise EnumerationBoundError(
             f"{k}^{n} = {total} candidates exceed the enumeration bound {_ENUMERATION_BOUND}"
         )
-    B = instance.mix
+    B = instance.S
     logp = np.log(prior.probs)
     const = n * float(logp.sum())
     key = (n, tuple(prior.alphabet.tolist()), tuple(logp.tolist()))

@@ -81,7 +81,8 @@ class ExperimentConfig:
     ``rho`` and no variance override, the noise variance follows from the
     SNR), or a sequence for ``rho`` (which requires ``sigma_w2_override``
     and leaves ``snr_db`` unset, matching the fixed-variance protocol). The
-    swept axis may not repeat a point.
+    swept axis may not repeat a point, nor hold two that the CSV prints
+    alike at six significant digits.
 
     ``parallelism`` is the most processes that run trials, the sweep's own
     included: ``run_sweep`` forks at most ``parallelism - 1`` children. It
@@ -159,12 +160,15 @@ class ExperimentConfig:
         for r in self.rho_values():
             if not 0.0 < r < 1.0:
                 raise ValueError("every rho must lie strictly inside (0, 1)")
-        # A repeated point would rerun the same keyed trials and print a copy
-        # of its rows as if it were a second, independent estimate.
-        points = self.axis_points
-        if len(set(points)) < len(points):
-            value = next(v for i, v in enumerate(points) if v in points[:i])
-            raise ValueError(f"{self.axis} repeats the axis point {value!r}")
+        # Two points whose CSV rows read alike would print two estimates that
+        # cannot be told apart, or rerun the same keyed trials as a second one.
+        printed = {}
+        for value in self.axis_points:
+            key = float(_fmt(value))
+            if key in printed:
+                raise ValueError(f"{self.axis} repeats the axis point {value!r}:"
+                                 f" the CSV cannot tell it from {printed[key]!r}")
+            printed[key] = value
 
     @property
     def axis(self) -> str:
@@ -271,7 +275,7 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
             S = _fixed_matrix(config.master_seed, config.n_meas, config.n_users)
         else:
             S = gaussian_matrix(config.n_meas, config.n_users, rng)
-        instance = synthesize(prior, S, np.ones(config.n_users), sigma_w2, rng)
+        instance = synthesize(prior, S, sigma_w2, rng)
         counts, reasons, solves = {}, {}, {}
         for det in config.detectors:
             try:

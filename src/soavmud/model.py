@@ -1,11 +1,12 @@
 """Symbol priors, SNR calibration, and synthesis of linear-model realizations.
 
-The received-signal model is ``y = S A b + w`` with ``S`` an M x N real
-mixing matrix, ``A = diag(gains)`` the per-user channel gains, ``b`` a
-vector of symbols drawn from a finite alphabet, and ``w`` i.i.d. zero-mean
-Gaussian noise of variance ``sigma_w2``. A ``SystemInstance`` also forms,
-on first use, the M x M Gram (S A)(S A)^T, its top eigenvalue
-sigma_max(S A)^2, from which the solvers take their step bound, and the
+The received-signal model is ``y = S b + w`` with ``S`` an M x N real
+mixing matrix, ``b`` a vector of symbols drawn from a finite alphabet, and
+``w`` i.i.d. zero-mean Gaussian noise of variance ``sigma_w2``. The paper's
+y = S A b + w with channel gains A = diag(a) is this model on the matrix
+S A: a caller with unequal gains folds them into S. A ``SystemInstance``
+also forms, on first use, the M x M Gram S S^T, its top eigenvalue
+sigma_max(S)^2, from which the solvers take their step bound, and the
 N x N factor of ADMM's x-update.
 """
 
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
-# ADMM's ridge mu as a share of sigma_max(S A)^2.
+# ADMM's ridge mu as a share of sigma_max(S)^2.
 _ADMM_RIDGE_SHARE = 0.005
 
 
@@ -107,47 +108,45 @@ def sigma_from_snr(snr_db: float, rho: float, n_users: int, n_meas: int) -> floa
 
 @dataclass(frozen=True, eq=False)
 class SystemInstance:
-    """One realization of y = S A b + w.
+    """One realization of y = S b + w.
 
-    ``mix`` is the effective mixing matrix S A, formed once here as
-    ``S * gains`` and read-only. It is not a constructor argument, so
-    ``dataclasses.replace`` forms it anew from the new S and gains. Every
-    array must be finite: a NaN or infinite entry raises ValueError naming
-    its field.
+    Every array is read-only and must be finite: a NaN or infinite entry
+    raises ValueError naming its field. ``dataclasses.replace`` checks the
+    new fields the same way.
     """
 
     S: np.ndarray        # (M, N) mixing matrix
-    gains: np.ndarray    # (N,) diagonal of the channel-gain matrix A
     sigma_w2: float
     b: np.ndarray        # (N,) transmitted symbols
     w: np.ndarray        # (M,) noise actually added
     y: np.ndarray        # (M,) received vector
-    mix: np.ndarray = field(init=False, repr=False)  # (M, N) S A
 
     def __post_init__(self):
         S = _readonly(self.S)
         if S.ndim != 2:
             raise ValueError("S must be a 2-D matrix")
         m, n = S.shape
-        gains = _readonly(self.gains)
         b = _readonly(self.b)
         w = _readonly(self.w)
         y = _readonly(self.y)
-        if gains.shape != (n,):
-            raise ValueError("gains must have one entry per user")
         if b.shape != (n,):
             raise ValueError("b must have one entry per user")
         if w.shape != (m,) or y.shape != (m,):
             raise ValueError("w and y must have one entry per measurement")
         if not 0.0 < self.sigma_w2 < math.inf:
             raise ValueError("sigma_w2 must be positive and finite")
-        for name, arr in (("S", S), ("gains", gains), ("b", b), ("w", w), ("y", y)):
+        for name, arr in (("S", S), ("b", b), ("w", w), ("y", y)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        mix = S * gains
-        mix.setflags(write=False)
-        object.__setattr__(self, "mix", mix)
+
+    @property
+    def gains(self) -> np.ndarray:
+        """N ones, read only by ``perfbench/checks.py`` to form S A as ``S * gains``.
+
+        The model has no gains apart from S; ROADMAP item 1 deletes this.
+        """
+        return np.ones(self.n_users)
 
     @property
     def n_meas(self) -> int:
@@ -159,41 +158,41 @@ class SystemInstance:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The M x M Gram matrix (S A)(S A)^T, formed once and read-only.
+        """The M x M Gram matrix S S^T, formed once and read-only.
 
         lmmse builds its system from it, and ``mix_norm_sq`` is its top
         eigenvalue, so one product serves every detector on this instance.
         """
-        gram = self.mix @ self.mix.T
+        gram = self.S @ self.S.T
         gram.setflags(write=False)
         return gram
 
     @cached_property
     def mix_norm_sq(self) -> float:
-        """sigma_max(S A)^2, the top eigenvalue of ``gram``, formed once.
+        """sigma_max(S)^2, the top eigenvalue of ``gram``, formed once.
 
         Every solver run on this instance bounds its step with it. It is
-        exact to rounding whatever the shape of S A: the nonzero eigenvalues
+        exact to rounding whatever the shape of S: the nonzero eigenvalues
         of the M x M Gram are those of the N x N one.
         """
         return float(np.linalg.eigvalsh(self.gram)[-1])
 
     @property
     def admm_ridge(self) -> float:
-        """ADMM's ridge mu = 0.005 sigma_max(S A)^2, with which ``admm_factor`` is formed."""
+        """ADMM's ridge mu = 0.005 sigma_max(S)^2, with which ``admm_factor`` is formed."""
         return _ADMM_RIDGE_SHARE * self.mix_norm_sq
 
     @cached_property
     def admm_factor(self) -> np.ndarray:
-        """The N x N W = I - (S A)^T (mu I + G)^-1 (S A), G = ``gram``, formed once and read-only.
+        """The N x N W = I - S^T (mu I + G)^-1 S, G = ``gram``, formed once and read-only.
 
-        W / mu is (G' + mu I)^-1 for the N x N Gram G' = (S A)^T (S A), so it
+        W / mu is (G' + mu I)^-1 for the N x N Gram G' = S^T S, so it
         gives ADMM's x-update at any scale of the quadratic term: lasso and
         map_soav on this instance share it. Formed by one solve of the M x M
         system with N right-hand sides and one N x N product.
         """
         ridged = self.gram + self.admm_ridge * np.identity(self.n_meas)
-        factor = np.identity(self.n_users) - self.mix.T @ np.linalg.solve(ridged, self.mix)
+        factor = np.identity(self.n_users) - self.S.T @ np.linalg.solve(ridged, self.S)
         factor.setflags(write=False)
         return factor
 
@@ -217,30 +216,19 @@ def gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((m, n))
 
 
-def synthesize(
-    prior: SymbolPrior,
-    S,
-    gains,
-    sigma_w2: float,
-    rng: np.random.Generator,
-) -> SystemInstance:
-    """Draw (b, w) and assemble one realization of y = S A b + w.
-
-    ``gains`` is the length-N diagonal of A.
-    """
+def synthesize(prior: SymbolPrior, S, sigma_w2: float,
+               rng: np.random.Generator) -> SystemInstance:
+    """Draw (b, w) and assemble one realization of y = S b + w."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
         raise ValueError("S must be a 2-D matrix")
     m, n = S.shape
-    gains = np.asarray(gains, dtype=float)
-    if gains.shape != (n,):
-        raise ValueError("gains must have one entry per user")
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError("sigma_w2 must be positive and finite")
     b = _draw_symbols(prior, n, rng)
     w = rng.normal(0.0, np.sqrt(sigma_w2), size=m)
-    y = S.dot(gains * b) + w
-    return SystemInstance(S=S, gains=gains, sigma_w2=float(sigma_w2), b=b, w=w, y=y)
+    y = S.dot(b) + w
+    return SystemInstance(S=S, sigma_w2=float(sigma_w2), b=b, w=w, y=y)
 
 
 def substream(master_seed: int, *keys) -> np.random.Generator:

@@ -1,7 +1,7 @@
 """Proximal solvers for composite objectives f + g on one ``SystemInstance``.
 
-f is the quadratic data term scale * ||y - B x||^2 with B = S A and y the
-instance's, and g is whatever penalty the supplied prox encodes. Both
+f is the quadratic data term scale * ||y - B x||^2 with B and y the
+instance's S and y, and g is whatever penalty the supplied prox encodes. Both
 solvers share one contract, ``solver(instance, prox_at, scale, config)``,
 with ``prox_at`` mapping gamma to the prox of gamma * g. Each takes the
 bound L = ``lipschitz_bound(scale, instance.mix_norm_sq)`` on the Lipschitz
@@ -140,12 +140,12 @@ def lipschitz_bound(scale: float, norm_sq: float) -> float:
 
 
 def _step_bound(instance: SystemInstance, scale: float) -> float:
-    """L for scale * ||y - S A x||^2 on ``instance``; a bad scale or a zero S A raises."""
+    """L for scale * ||y - S x||^2 on ``instance``; a bad scale or a zero S raises."""
     if not 0.0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
     L = lipschitz_bound(scale, instance.mix_norm_sq)
     if L == 0.0:
-        raise ValueError("S A is the zero operator, so no step size bounds it")
+        raise ValueError("S is the zero operator, so no step size bounds it")
     return L
 
 
@@ -195,7 +195,7 @@ def admm(instance: SystemInstance, prox_at: ProxAt, scale: float,
     non-finite polish is skipped.
     """
     L = _step_bound(instance, scale)
-    B, y, W, ridge = instance.mix, instance.y, instance.admm_factor, instance.admm_ridge
+    B, y, W, ridge = instance.S, instance.y, instance.admm_factor, instance.admm_ridge
     n = B.shape[1]
     alpha = _ADMM_RELAXATION
     prox = prox_at(1.0 / (2.0 * scale * ridge))
@@ -279,7 +279,7 @@ def fista(instance: SystemInstance, prox_at: ProxAt, scale: float,
     prox, then extrapolates for the next iteration.
     """
     L = _step_bound(instance, scale)
-    B = instance.mix
+    B = instance.S
     prox = prox_at(1.0 / L)
     a = (1.0 / L) * 2.0 * scale
     # The gradient step x - a B^T (B x - y) is H x + c; dot skips the dispatch

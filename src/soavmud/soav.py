@@ -93,8 +93,10 @@ def default_offset(prior: SymbolPrior, offset: float = 10.0) -> float:
 
     The additive margin defaults to 10, which reproduces the reference
     operating points C = 14.6052 (rho = 0.8) and C = 13.7402 (rho = 0.05)
-    for the on-off BPSK prior.
+    for the on-off BPSK prior. A NaN or infinite offset raises ValueError.
     """
+    if not math.isfinite(offset):
+        raise ValueError("offset must be finite")
     logp = np.log(prior.probs)
     cross = logp.sum() - logp
     return abs(float(cross.min())) + offset
@@ -104,8 +106,10 @@ def solve_weights(prior: SymbolPrior, c: float) -> SoavWeights:
     """Solve R q = p_c for the penalty weights.
 
     A singular R, or a solution whose residual exceeds the tolerance, raises
-    SingularWeightSystemError.
+    SingularWeightSystemError; a NaN or infinite c raises ValueError first.
     """
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
     R, p_c = _build_weight_system(prior, c)
     try:
         q = np.linalg.solve(R, p_c)
@@ -126,11 +130,11 @@ def _soav_penalty(x, weights: SoavWeights) -> float:
 
 
 def soav_objective(x, instance: SystemInstance, weights: SoavWeights) -> float:
-    """Full objective: ||y - S A x||^2 / (2 sigma_w2) + penalty."""
+    """Full objective: ||y - S x||^2 / (2 sigma_w2) + penalty."""
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.n_users,):
         raise ValueError("x must have one entry per user")
-    resid = instance.y - instance.mix @ x
+    resid = instance.y - instance.S @ x
     data = float(resid @ resid) / (2.0 * instance.sigma_w2)
     return data + _soav_penalty(x, weights)
 

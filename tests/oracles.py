@@ -265,15 +265,13 @@ def central_difference_gradient(fun, x, h=1e-6):
     return grad
 
 
-def noiseless_instance(prior, S, gains, sigma_w2, rng):
-    """A realization with w = 0, so y = S A b exactly.
+def noiseless_instance(prior, S, sigma_w2, rng):
+    """A realization with w = 0, so y = S b exactly.
 
     b is drawn as ``synthesize`` draws it, by ``rng.choice`` with the prior's
     probabilities, so a stream gives the same symbols. ``sigma_w2`` is only
     recorded, for the detectors' objectives.
     """
     S = np.asarray(S, dtype=float)
-    gains = np.asarray(gains, dtype=float)
     b = rng.choice(prior.alphabet, size=S.shape[1], p=prior.probs)
-    return SystemInstance(S=S, gains=gains, sigma_w2=sigma_w2, b=b,
-                          w=np.zeros(S.shape[0]), y=S.dot(gains * b))
+    return SystemInstance(S=S, sigma_w2=sigma_w2, b=b, w=np.zeros(S.shape[0]), y=S.dot(b))

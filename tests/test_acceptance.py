@@ -76,8 +76,7 @@ def test_criterion_3_solver_correctness():
     instances, lipschitzes, reports = [], [], []
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
-        inst = synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20),
-                          sigma_w2, rng)
+        inst = synthesize(prior, gaussian_matrix(14, 20, rng), sigma_w2, rng)
         scale = 1.0 / (2.0 * sigma_w2)
         L = lipschitz_bound(scale, inst.mix_norm_sq)
         prox = ternary_prox(1.0 / L, weights)
@@ -90,7 +89,7 @@ def test_criterion_3_solver_correctness():
         lipschitzes.append(L)
         reports.append((scale, L, prox, solutions))
     oracle_solutions = batched_soav_prox_gradient_oracle(
-        [i.mix for i in instances], [i.y for i in instances],
+        [i.S for i in instances], [i.y for i in instances],
         [i.sigma_w2 for i in instances], weights.q, TERNARY, lipschitzes,
         iters=50_000,
     )
@@ -99,7 +98,7 @@ def test_criterion_3_solver_correctness():
         instances, oracle_solutions, reports
     ):
         f_star, f_50, f_200, f_final = (
-            soav_objective_ref(x, inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY)
+            soav_objective_ref(x, inst.S, inst.y, inst.sigma_w2, weights.q, TERNARY)
             for x in (oracle_x, *solutions)
         )
         worst_rel = max(worst_rel, (f_final - f_star) / abs(f_star))
@@ -108,7 +107,7 @@ def test_criterion_3_solver_correctness():
         worst_ratio = max(worst_ratio, gap_200 / gap_50)
         x = solutions[-1]
         residual = np.linalg.norm(
-            x - prox(x - gradient(inst.mix, inst.y, scale, x) / L)
+            x - prox(x - gradient(inst.S, inst.y, scale, x) / L)
         ) / (1.0 + np.linalg.norm(x))
         worst_residual = max(worst_residual, residual)
     ok = worst_rel <= 1e-5 and worst_residual <= 1e-6 and worst_ratio <= 1.0 / 8.0

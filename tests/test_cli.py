@@ -179,8 +179,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("offset", ["nan", "inf"])
     def test_weights_nonfinite_offset_returns_error_code(self, capsys, offset):
+        # It used to report "weight system solved to residual nan only".
         assert main(["weights", "--rho", "0.8", "--offset", offset]) == 1
-        assert "weight system solved to residual" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: offset must be finite\n"
 
     def test_simulate_writes_csv(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -271,9 +272,14 @@ class TestCommands:
         (["simulate", "--snr", "10,12,12"], "snr_db repeats the axis point 12.0"),
         (["sweep-rho", "--rho", "0.2,0.5,0.2", "--sigma2", "0.1"],
          "rho repeats the axis point 0.2"),
-    ], ids=["snr", "rho"])
+        (["simulate", "--snr", "10,10.0000001"],
+         "snr_db repeats the axis point 10.0000001: the CSV cannot tell it from 10.0"),
+        (["sweep-rho", "--rho", "0.2,0.2000001", "--sigma2", "0.1"],
+         "rho repeats the axis point 0.2000001: the CSV cannot tell it from 0.2"),
+    ], ids=["snr", "rho", "snr-below-print-precision", "rho-below-print-precision"])
     def test_repeated_axis_point_rejected(self, monkeypatch, capsys, argv, message):
-        # Each repeat would rerun the same keyed trials as a second estimate.
+        # Each repeat would rerun the same keyed trials as a second estimate,
+        # or print rows that the CSV's six significant digits cannot tell apart.
         def no_sweep(config):
             raise AssertionError("run_sweep must not start")
 

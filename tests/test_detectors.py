@@ -39,9 +39,7 @@ BINARY = SymbolPrior(alphabet=(-1.0, 1.0), probs=(0.5, 0.5))  # rho -> 0 limit
 
 
 def scalar_instance(y, sigma_w2=1.0, b=1.0):
-    return SystemInstance(
-        S=[[1.0]], gains=[1.0], sigma_w2=sigma_w2, b=[b], w=[0.0], y=[y]
-    )
+    return SystemInstance(S=[[1.0]], sigma_w2=sigma_w2, b=[b], w=[0.0], y=[y])
 
 
 class TestThresholdMap:
@@ -80,7 +78,7 @@ class TestLmmse:
     def test_huge_noise_shrinks_to_zero(self):
         rng = np.random.default_rng(1)
         prior = bpsk_prior(0.5)
-        inst = synthesize(prior, gaussian_matrix(7, 10, rng), np.ones(10), 1e6, rng)
+        inst = synthesize(prior, gaussian_matrix(7, 10, rng), 1e6, rng)
         result = lmmse(inst, prior)
         assert np.linalg.norm(result.raw) < 1e-3 * np.linalg.norm(inst.y)
 
@@ -88,7 +86,7 @@ class TestLmmse:
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         S = q[:6]
-        inst = noiseless_instance(BINARY, S, np.ones(10), 1e-6, rng)
+        inst = noiseless_instance(BINARY, S, 1e-6, rng)
         result = lmmse(inst, BINARY)
         np.testing.assert_allclose(result.raw, S.T @ inst.y, atol=1e-4)
 
@@ -96,13 +94,12 @@ class TestLmmse:
         rng = np.random.default_rng(3)
         prior = bpsk_prior(0.8)
         S = gaussian_matrix(7, 10, rng)
-        base = synthesize(prior, S, np.ones(10), 0.3, rng)
+        base = synthesize(prior, S, 0.3, rng)
         y1 = rng.standard_normal(7)
         y2 = rng.standard_normal(7)
 
         def raw_for(y):
-            inst = SystemInstance(S=S, gains=np.ones(10), sigma_w2=0.3,
-                                  b=base.b, w=base.w, y=y)
+            inst = SystemInstance(S=S, sigma_w2=0.3, b=base.b, w=base.w, y=y)
             return lmmse(inst, prior).raw
 
         np.testing.assert_allclose(
@@ -112,8 +109,8 @@ class TestLmmse:
 
 class TestLasso:
     def test_zero_measurement_returns_zero(self):
-        inst = SystemInstance(S=np.eye(4), gains=np.ones(4), sigma_w2=1.0,
-                              b=np.ones(4), w=np.zeros(4), y=np.zeros(4))
+        inst = SystemInstance(S=np.eye(4), sigma_w2=1.0, b=np.ones(4), w=np.zeros(4),
+                              y=np.zeros(4))
         result = lasso(inst, DetectorConfig(kind="lasso"))
         np.testing.assert_array_equal(result.raw, np.zeros(4))
 
@@ -125,12 +122,12 @@ class TestLasso:
     def test_beats_random_probes(self):
         rng = np.random.default_rng(4)
         prior = bpsk_prior(0.8)
-        inst = synthesize(prior, gaussian_matrix(7, 10, rng), np.ones(10), 0.05, rng)
+        inst = synthesize(prior, gaussian_matrix(7, 10, rng), 0.05, rng)
         config = DetectorConfig(kind="lasso")
         result = lasso(inst, config)
 
         def objective(x):
-            resid = inst.y - inst.mix @ x
+            resid = inst.y - inst.S @ x
             return config.lam * float(resid @ resid) + float(np.abs(x).sum())
 
         best_probe = min(
@@ -140,10 +137,10 @@ class TestLasso:
 
 
 def sweep_instance(seed, axis_value, trial, rho, snr_db, n=100, m=70):
-    """The realization run_trial draws for one simulate trial, unit gains."""
+    """The realization run_trial draws for one simulate trial."""
     rng = substream(seed, float(axis_value), trial)
     sigma_w2 = n * (1.0 - rho) / m * 10.0 ** (-snr_db / 10.0)
-    return synthesize(bpsk_prior(rho), gaussian_matrix(m, n, rng), np.ones(n), sigma_w2, rng)
+    return synthesize(bpsk_prior(rho), gaussian_matrix(m, n, rng), sigma_w2, rng)
 
 
 class TestLassoIsSoftThresholdFista:
@@ -211,14 +208,14 @@ class TestMapSoav:
         for trial in range(100):
             rng = substream(777, trial)
             q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-            inst = noiseless_instance(prior, q, np.ones(20), 1e-6, rng)
+            inst = noiseless_instance(prior, q, 1e-6, rng)
             result = map_soav(inst, prior, config)
             np.testing.assert_array_equal(result.decided, inst.b)
 
     def test_zero_measurement_symmetric_weights_fixed_point(self):
         prior = bpsk_prior(0.8)
-        inst = SystemInstance(S=np.eye(6), gains=np.ones(6), sigma_w2=0.5,
-                              b=np.ones(6), w=np.zeros(6), y=np.zeros(6))
+        inst = SystemInstance(S=np.eye(6), sigma_w2=0.5, b=np.ones(6), w=np.zeros(6),
+                              y=np.zeros(6))
         result = map_soav(inst, prior, DetectorConfig(kind="map_soav"))
         np.testing.assert_array_equal(result.raw, np.zeros(6))
 
@@ -231,9 +228,7 @@ class TestMapSoav:
         soav_errors = lasso_errors = 0
         for trial in range(500):
             rng = substream(4242, trial)
-            inst = synthesize(
-                prior, gaussian_matrix(7, 10, rng), np.ones(10), sigma_w2, rng
-            )
+            inst = synthesize(prior, gaussian_matrix(7, 10, rng), sigma_w2, rng)
             soav_errors += np.count_nonzero(
                 map_soav(inst, prior, soav_cfg).decided != inst.b
             )
@@ -269,7 +264,7 @@ class TestExhaustiveMap:
         prior = bpsk_prior(0.5)
         rng = np.random.default_rng(8)
         S = gaussian_matrix(8, 8, rng)
-        inst = noiseless_instance(prior, S, np.ones(8), 0.01, rng)
+        inst = noiseless_instance(prior, S, 0.01, rng)
         result = exhaustive_map(inst, prior)
         np.testing.assert_array_equal(result.decided, inst.b)
 
@@ -278,9 +273,9 @@ class TestExhaustiveMap:
 
         prior = bpsk_prior(0.7)
         rng = np.random.default_rng(9)
-        inst = synthesize(prior, gaussian_matrix(5, 6, rng), np.ones(6), 0.2, rng)
+        inst = synthesize(prior, gaussian_matrix(5, 6, rng), 0.2, rng)
         result = exhaustive_map(inst, prior)
-        args = (inst.mix, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
+        args = (inst.S, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
         best = map_lattice_objective(result.decided, *args)
         for combo in product(prior.alphabet, repeat=6):
             assert best <= map_lattice_objective(np.array(combo), *args) + 1e-9
@@ -292,17 +287,17 @@ class TestExhaustiveMap:
 
         prior = bpsk_prior(0.7)
         rng = np.random.default_rng(10)
-        inst = synthesize(prior, gaussian_matrix(5, 6, rng), np.ones(6), 0.2, rng)
+        inst = synthesize(prior, gaussian_matrix(5, 6, rng), 0.2, rng)
         logp = dict(zip(prior.alphabet, np.log(prior.probs)))
 
         def reduced(x):
-            resid = inst.y - inst.mix @ np.asarray(x)
+            resid = inst.y - inst.S @ np.asarray(x)
             return float(resid @ resid) / (2 * inst.sigma_w2) - sum(
                 logp[v] for v in x
             )
 
         lattice = list(product(prior.alphabet, repeat=6))
-        args = (inst.mix, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
+        args = (inst.S, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
         full_argmin = min(lattice, key=lambda x: map_lattice_objective(np.array(x), *args))
         reduced_argmin = min(lattice, key=reduced)
         assert full_argmin == reduced_argmin
@@ -310,7 +305,7 @@ class TestExhaustiveMap:
     def test_enumeration_bound_guard(self):
         prior = bpsk_prior(0.5)
         rng = np.random.default_rng(11)
-        inst = synthesize(prior, gaussian_matrix(4, 16, rng), np.ones(16), 0.1, rng)
+        inst = synthesize(prior, gaussian_matrix(4, 16, rng), 0.1, rng)
         with pytest.raises(EnumerationBoundError):
             exhaustive_map(inst, prior)
 
@@ -318,11 +313,11 @@ class TestExhaustiveMap:
     def product_argmin(inst, prior):
         """The first minimizer of map_lattice_objective over itertools.product."""
         lattice = itertools.product(prior.alphabet, repeat=inst.n_users)
-        args = (inst.mix, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
+        args = (inst.S, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
         return np.array(min(lattice, key=lambda x: map_lattice_objective(np.array(x), *args)))
 
     def assert_matches_references(self, result, inst, prior):
-        reference = exhaustive_map_reference(inst.mix, inst.y, inst.sigma_w2, prior.alphabet,
+        reference = exhaustive_map_reference(inst.S, inst.y, inst.sigma_w2, prior.alphabet,
                                              prior.probs)
         assert result.raw.tobytes() == reference.tobytes()
         assert result.decided.tobytes() == reference.tobytes()
@@ -333,7 +328,7 @@ class TestExhaustiveMap:
         # get its own argmin, on every call.
         prior = bpsk_prior(0.6)
         rng = np.random.default_rng(21)
-        instances = [synthesize(prior, gaussian_matrix(4, 5, rng), np.ones(5), 0.3, rng)
+        instances = [synthesize(prior, gaussian_matrix(4, 5, rng), 0.3, rng)
                      for _ in range(4)]
         for inst in instances + instances[::-1]:
             self.assert_matches_references(exhaustive_map(inst, prior), inst, prior)
@@ -344,47 +339,47 @@ class TestExhaustiveMap:
         prior = bpsk_prior(0.7)
         rng = np.random.default_rng(22)
         for _ in range(3):
-            inst = synthesize(prior, gaussian_matrix(5, 6, rng), np.ones(6), 0.2, rng)
+            inst = synthesize(prior, gaussian_matrix(5, 6, rng), 0.2, rng)
             self.assert_matches_references(exhaustive_map(inst, prior), inst, prior)
 
     @pytest.mark.parametrize("block", [7, 2**15], ids=["many-blocks", "one-block"])
     def test_exact_tie_keeps_the_earliest_candidate(self, monkeypatch, block):
-        # User 0 has zero gain, so flipping its -1 to +1 changes no residual,
+        # User 0's column of S is zero, so flipping its -1 to +1 changes no residual,
         # and at rho 0.2 P(-1) = P(+1): the two best candidates tie exactly
         # (every product and sum below is exact). They lie 2 * 3^5 codes apart,
         # so blocks of 7 put them in different blocks. The earlier one, with
         # -1, must win either way.
         monkeypatch.setattr(detectors, "_ENUMERATION_BLOCK", block)
         prior = bpsk_prior(0.2)
-        S = np.array([[1.0, -1.0, 1.0, 1.0, -1.0, 1.0],
-                      [1.0, 1.0, -1.0, 1.0, 1.0, -1.0],
-                      [-1.0, 1.0, 1.0, -1.0, 1.0, 1.0],
-                      [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]])
-        inst = SystemInstance(S=S, gains=[0.0, 1.0, 1.0, 1.0, 1.0, 1.0], sigma_w2=0.5,
-                              b=np.zeros(6), w=np.zeros(4), y=[1.5, -0.5, 2.0, -1.0])
+        S = np.array([[0.0, -1.0, 1.0, 1.0, -1.0, 1.0],
+                      [0.0, 1.0, -1.0, 1.0, 1.0, -1.0],
+                      [0.0, 1.0, 1.0, -1.0, 1.0, 1.0],
+                      [0.0, 1.0, 1.0, -1.0, -1.0, -1.0]])
+        inst = SystemInstance(S=S, sigma_w2=0.5, b=np.zeros(6), w=np.zeros(4),
+                              y=[1.5, -0.5, 2.0, -1.0])
         result = exhaustive_map(inst, prior)
         assert result.decided[0] == -1.0
         flipped = result.decided.copy()
         flipped[0] = 1.0
         logp = np.log(prior.probs)
-        terms = [(inst.y - inst.mix @ x, logp[np.searchsorted(prior.alphabet, x)].sum())
+        terms = [(inst.y - inst.S @ x, logp[np.searchsorted(prior.alphabet, x)].sum())
                  for x in (result.decided, flipped)]
         assert terms[0][0].tobytes() == terms[1][0].tobytes()
         assert terms[0][1] == terms[1][1]
         # The oracle objective sums its prior term in the same order, so it
         # ties the two exactly and its first minimizer is the -1 candidate too.
-        args = (inst.mix, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
+        args = (inst.S, inst.y, inst.sigma_w2, prior.alphabet, prior.probs)
         assert map_lattice_objective(result.decided, *args) == map_lattice_objective(flipped,
                                                                                      *args)
         np.testing.assert_array_equal(self.product_argmin(inst, prior), result.decided)
-        reference = exhaustive_map_reference(inst.mix, inst.y, inst.sigma_w2, prior.alphabet,
+        reference = exhaustive_map_reference(inst.S, inst.y, inst.sigma_w2, prior.alphabet,
                                              prior.probs)
         assert result.raw.tobytes() == reference.tobytes()
 
     def test_cached_block_is_read_only(self):
         prior = bpsk_prior(0.8)
         rng = np.random.default_rng(23)
-        inst = synthesize(prior, gaussian_matrix(3, 4, rng), np.ones(4), 0.1, rng)
+        inst = synthesize(prior, gaussian_matrix(3, 4, rng), 0.1, rng)
         result = exhaustive_map(inst, prior)
         logp = tuple(np.log(prior.probs).tolist())
         X, prior_term = detectors._lattice_block(4, tuple(prior.alphabet.tolist()), logp, 0, 81)
@@ -410,7 +405,7 @@ class TestCommonContracts:
     def test_all_decisions_live_on_the_alphabet(self):
         prior = bpsk_prior(0.8)
         rng = np.random.default_rng(12)
-        inst = synthesize(prior, gaussian_matrix(6, 8, rng), np.ones(8), 0.1, rng)
+        inst = synthesize(prior, gaussian_matrix(6, 8, rng), 0.1, rng)
         for kind in ("lmmse", "lasso", "map_soav", "exhaustive_map"):
             result = run_detector(inst, prior, DetectorConfig(kind=kind))
             assert np.all(np.isin(result.decided, prior.alphabet))
@@ -418,7 +413,7 @@ class TestCommonContracts:
     def test_dispatch_matches_direct_calls(self):
         prior = bpsk_prior(0.8)
         rng = np.random.default_rng(13)
-        inst = synthesize(prior, gaussian_matrix(6, 8, rng), np.ones(8), 0.1, rng)
+        inst = synthesize(prior, gaussian_matrix(6, 8, rng), 0.1, rng)
         config = DetectorConfig(kind="lmmse")
         np.testing.assert_array_equal(
             run_detector(inst, prior, config).raw, lmmse(inst, prior).raw
@@ -427,7 +422,7 @@ class TestCommonContracts:
     def test_solver_iterations_respect_budget(self):
         prior = bpsk_prior(0.8)
         rng = np.random.default_rng(14)
-        inst = synthesize(prior, gaussian_matrix(6, 8, rng), np.ones(8), 0.1, rng)
+        inst = synthesize(prior, gaussian_matrix(6, 8, rng), 0.1, rng)
         config = DetectorConfig(
             kind="map_soav", solver=SolverConfig(max_iters=37, rel_tol=0.0)
         )
@@ -438,7 +433,7 @@ class TestCommonContracts:
         prior = bpsk_prior(0.8)
         weights = solve_weights(prior, default_offset(prior))
         rng = np.random.default_rng(15)
-        inst = synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20), 0.05, rng)
+        inst = synthesize(prior, gaussian_matrix(14, 20, rng), 0.05, rng)
         result = map_soav(inst, prior, DetectorConfig(kind="map_soav"))
         assert soav_objective(result.raw, inst, weights) <= soav_objective(
             inst.b, inst, weights

@@ -187,9 +187,15 @@ class TestExperimentConfig:
         (dict(snr_db=(0.0, -0.0)), "snr_db repeats the axis point -0.0"),
         (dict(rho=(0.2, 0.5, 0.2), snr_db=None, sigma_w2_override=0.1),
          "rho repeats the axis point 0.2"),
-    ], ids=["snr_db", "signed-zero-snr_db", "rho"])
+        (dict(snr_db=(10.0, 10.0000001)),
+         "snr_db repeats the axis point 10.0000001: the CSV cannot tell it from 10.0"),
+        (dict(rho=(0.2, 0.2000001), snr_db=None, sigma_w2_override=0.1),
+         "rho repeats the axis point 0.2000001: the CSV cannot tell it from 0.2"),
+    ], ids=["snr_db", "signed-zero-snr_db", "rho", "snr_db-below-print-precision",
+            "rho-below-print-precision"])
     def test_repeated_axis_point_rejected(self, fields, message):
-        # Each repeat would rerun the same keyed trials as a second estimate.
+        # Each repeat would rerun the same keyed trials as a second estimate,
+        # or print rows that the CSV's six significant digits cannot tell apart.
         with pytest.raises(ValueError, match=re.escape(message)):
             small_config(**fields)
 
@@ -288,7 +294,7 @@ class TestRunTrial:
         assert len(eigs) == 1 and eigs[0] is inst.gram
         scales = [30.0, 1.0 / (2.0 * inst.sigma_w2)]
         assert [scale for scale, _ in bounds] == scales
-        top = float(np.linalg.eigvalsh(inst.mix @ inst.mix.T)[-1])
+        top = float(np.linalg.eigvalsh(inst.S @ inst.S.T)[-1])
         for scale, L in bounds:
             expected = lipschitz_bound(scale, top)
             assert np.float64(L).view(np.uint64) == np.float64(expected).view(np.uint64)
@@ -341,7 +347,7 @@ class TestRunTrial:
         for trial in range(100):
             rng = substream(314, trial)
             q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
-            inst = synthesize(prior, q, np.ones(10), 1e-8, rng)
+            inst = synthesize(prior, q, 1e-8, rng)
             clean += all(
                 np.array_equal(run_detector(inst, prior, det).decided, inst.b)
                 for det in detectors

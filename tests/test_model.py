@@ -144,8 +144,8 @@ class TestSynthesize:
     def test_deterministic_for_fixed_stream(self):
         prior = bpsk_prior(0.8)
         S = gaussian_matrix(7, 10, np.random.default_rng(11))
-        one = synthesize(prior, S, np.ones(10), 0.1, np.random.default_rng(5))
-        two = synthesize(prior, S, np.ones(10), 0.1, np.random.default_rng(5))
+        one = synthesize(prior, S, 0.1, np.random.default_rng(5))
+        two = synthesize(prior, S, 0.1, np.random.default_rng(5))
         np.testing.assert_array_equal(one.b, two.b)
         np.testing.assert_array_equal(one.w, two.w)
         np.testing.assert_array_equal(one.y, two.y)
@@ -153,14 +153,10 @@ class TestSynthesize:
     def test_construction_residual_is_exactly_zero(self):
         prior = bpsk_prior(0.3)
         rng = np.random.default_rng(21)
-        S = gaussian_matrix(7, 12, rng)
-        gains = rng.uniform(0.5, 2.0, size=12)
-        inst = synthesize(prior, S, gains, 0.25, rng)
-        residual = inst.y - (S @ (gains * inst.b) + inst.w)
-        assert np.linalg.norm(residual) == 0.0
-        # At unit gains, as in every harness trial, y has the bits of (S A) b + w.
-        inst = synthesize(prior, S, np.ones(12), 0.25, rng)
-        assert inst.y.tobytes() == (inst.mix @ inst.b + inst.w).tobytes()
+        # Unequal channel gains, folded into S as the paper's S A.
+        S = gaussian_matrix(7, 12, rng) * rng.uniform(0.5, 2.0, size=12)
+        inst = synthesize(prior, S, 0.25, rng)
+        assert inst.y.tobytes() == (S @ inst.b + inst.w).tobytes()
 
     def test_spectral_bound_is_formed_once(self, monkeypatch):
         grams, eigs = [], []
@@ -179,38 +175,31 @@ class TestSynthesize:
         monkeypatch.setattr(SystemInstance, "gram", counting)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         rng = np.random.default_rng(22)
-        gains = rng.uniform(0.5, 2.0, size=12)
-        inst = synthesize(bpsk_prior(0.8), gaussian_matrix(7, 12, rng), gains, 0.25, rng)
-        mix = inst.S * gains
-        assert inst.mix_norm_sq == inst.mix_norm_sq == float(real_eigvalsh(mix @ mix.T)[-1])
+        S = gaussian_matrix(7, 12, rng) * rng.uniform(0.5, 2.0, size=12)
+        inst = synthesize(bpsk_prior(0.8), S, 0.25, rng)
+        assert inst.mix_norm_sq == inst.mix_norm_sq == float(real_eigvalsh(S @ S.T)[-1])
         assert inst.gram is inst.gram
         assert grams == [inst]
         assert len(eigs) == 1 and eigs[0] is inst.gram
-        assert inst.gram.tobytes() == (mix @ mix.T).tobytes()
+        assert inst.gram.tobytes() == (S @ S.T).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             inst.gram[0, 0] = 0.0
 
-    def test_mix_is_formed_once_and_read_only(self):
+    def test_unit_gains_and_replace_for_perfbench(self):
+        # perfbench/checks.py forms S A as S * gains, and perfbench/selftest.py
+        # rebuilds instances with dataclasses.replace.
         rng = np.random.default_rng(23)
-        S = gaussian_matrix(7, 12, rng)
-        gains = rng.uniform(0.5, 2.0, size=12)
-        for inst in (
-            synthesize(bpsk_prior(0.8), S, gains, 0.25, rng),
-            SystemInstance(S=S, gains=gains, sigma_w2=0.25, b=np.zeros(12), w=np.zeros(7),
-                           y=np.zeros(7)),
-        ):
-            assert inst.mix is inst.mix
-            assert inst.mix.tobytes() == (S * gains).tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                inst.mix[0, 0] = 0.0
-
-    def test_replace_forms_mix_anew(self):
-        inst = SystemInstance(S=np.eye(3), gains=np.ones(3), sigma_w2=1.0, b=np.zeros(3),
-                              w=np.zeros(3), y=np.zeros(3))
-        gains = np.array([1.0, 2.0, 3.0])
-        changed = dataclasses.replace(inst, gains=gains)
-        assert changed.mix.tobytes() == np.diag(gains).tobytes()
-        assert not changed.mix.flags.writeable
+        inst = synthesize(bpsk_prior(0.8), gaussian_matrix(7, 12, rng), 0.25, rng)
+        assert inst.gains.tobytes() == np.ones(12).tobytes()
+        assert (inst.S * inst.gains).tobytes() == inst.S.tobytes()
+        moved = dataclasses.replace(inst, y=inst.y + 1.0, b=np.ones(12))
+        assert moved.y.tobytes() == (inst.y + 1.0).tobytes()
+        assert moved.b.tobytes() == np.ones(12).tobytes()
+        assert not moved.y.flags.writeable and not moved.b.flags.writeable
+        with pytest.raises(ValueError, match="^y must be finite$"):
+            dataclasses.replace(inst, y=np.full(7, np.nan))
+        with pytest.raises(ValueError, match="^b must have one entry per user$"):
+            dataclasses.replace(inst, b=np.ones(11))
 
     def test_noise_covariance_matches_sigma(self):
         # Monte Carlo covariance estimate over 1e5 draws; the relative
@@ -222,7 +211,7 @@ class TestSynthesize:
         draws = 10**5
         noise = np.empty((draws, 70))
         for i in range(draws):
-            noise[i] = synthesize(prior, S, np.ones(100), sigma_w2, rng).w
+            noise[i] = synthesize(prior, S, sigma_w2, rng).w
         cov = noise.T @ noise / draws
         err = np.linalg.norm(cov - sigma_w2 * np.eye(70)) / np.linalg.norm(
             sigma_w2 * np.eye(70)
@@ -230,17 +219,18 @@ class TestSynthesize:
         assert err < 0.05
 
     def test_rejects_dimension_mismatch(self):
-        # Each call fails before it draws anything, so the stream is untouched.
-        prior = bpsk_prior(0.5)
+        # The call fails before it draws anything, so the stream is untouched.
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="gains"):
-            synthesize(prior, np.eye(4), np.ones(5), 0.1, rng)
-        with pytest.raises(ValueError, match="gains"):
-            synthesize(prior, np.eye(4), np.arange(16.0).reshape(4, 4), 0.1, rng)
         with pytest.raises(ValueError, match="2-D"):
-            synthesize(prior, np.ones(4), np.ones(4), 0.1, rng)
+            synthesize(bpsk_prior(0.5), np.ones(4), 0.1, rng)
         assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="b must have one entry per user"):
+            SystemInstance(S=np.eye(4), sigma_w2=1.0, b=np.ones(5), w=np.zeros(4),
+                           y=np.zeros(4))
+        with pytest.raises(ValueError, match="w and y must have one entry per measurement"):
+            SystemInstance(S=np.eye(4), sigma_w2=1.0, b=np.ones(4), w=np.zeros(4),
+                           y=np.zeros(3))
 
     @pytest.mark.parametrize("sigma_w2", [0.0, -0.1, np.nan, np.inf, -np.inf])
     def test_rejects_nonpositive_or_nonfinite_noise_variance(self, sigma_w2):
@@ -248,19 +238,17 @@ class TestSynthesize:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="sigma_w2"):
-            synthesize(bpsk_prior(0.5), np.eye(4), np.ones(4), sigma_w2, rng)
+            synthesize(bpsk_prior(0.5), np.eye(4), sigma_w2, rng)
         assert rng.bit_generator.state == state
         with pytest.raises(ValueError, match="sigma_w2"):
-            SystemInstance(S=np.eye(4), gains=np.ones(4), sigma_w2=sigma_w2,
+            SystemInstance(S=np.eye(4), sigma_w2=sigma_w2,
                            b=np.ones(4), w=np.zeros(4), y=np.ones(4))
 
 
-def instance_of(S, gains=None):
+def instance_of(S):
     """A SystemInstance on S with zero symbols, noise and measurements."""
-    S = np.asarray(S, dtype=float)
-    m, n = S.shape
-    gains = np.ones(n) if gains is None else gains
-    return SystemInstance(S=S, gains=gains, sigma_w2=1.0, b=np.zeros(n), w=np.zeros(m),
+    m, n = np.shape(S)
+    return SystemInstance(S=S, sigma_w2=1.0, b=np.zeros(n), w=np.zeros(m),
                           y=np.zeros(m))
 
 
@@ -270,29 +258,29 @@ class TestSpectralBound:
         rng = np.random.default_rng(40)
         repeated = rng.standard_normal((6, 10))
         repeated[3] = repeated[5] = repeated[1]
-        zero_gain = rng.uniform(0.5, 2.0, size=10)
-        zero_gain[4] = 0.0
+        # Unequal gains folded into S, one of them zero: a zero column.
+        gains = rng.uniform(0.5, 2.0, size=10)
+        gains[4] = 0.0
         return {
-            "wide": (rng.standard_normal((70, 100)), None),
-            "tall": (rng.standard_normal((100, 70)), None),
-            "repeated-rows": (repeated, None),
-            "zero-gain": (rng.standard_normal((6, 10)), zero_gain),
-            "1x1": (rng.standard_normal((1, 1)), None),
+            "wide": rng.standard_normal((70, 100)),
+            "tall": rng.standard_normal((100, 70)),
+            "repeated-rows": repeated,
+            "zero-gain": rng.standard_normal((6, 10)) * gains,
+            "1x1": rng.standard_normal((1, 1)),
         }
 
     @pytest.mark.parametrize("kind", ["wide", "tall", "repeated-rows", "zero-gain", "1x1"])
     def test_mix_norm_sq_matches_svd(self, kind):
-        S, gains = self.matrices()[kind]
-        inst = instance_of(S, gains)
-        exact = np.linalg.svd(inst.mix, compute_uv=False)[0] ** 2
+        inst = instance_of(self.matrices()[kind])
+        exact = np.linalg.svd(inst.S, compute_uv=False)[0] ** 2
         assert abs(inst.mix_norm_sq - exact) <= 1e-12 * exact
 
     def test_zero_operator_has_zero_bound(self):
-        assert instance_of(np.ones((3, 4)), np.zeros(4)).mix_norm_sq == 0.0
+        assert instance_of(np.zeros((3, 4))).mix_norm_sq == 0.0
 
 
 class TestNonFiniteInputs:
-    FIELDS = {"S": (3, 4), "gains": (4,), "b": (4,), "w": (3,), "y": (3,)}
+    FIELDS = {"S": (3, 4), "b": (4,), "w": (3,), "y": (3,)}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", list(FIELDS))
@@ -301,13 +289,6 @@ class TestNonFiniteInputs:
         arrays[name].flat[-1] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             SystemInstance(sigma_w2=1.0, **arrays)
-
-    def test_synthesize_rejects_a_nan_gain(self):
-        # A NaN gain makes y NaN; lmmse used to decide all zeros on it.
-        gains = np.ones(4)
-        gains[2] = np.nan
-        with pytest.raises(ValueError, match="gains must be finite"):
-            synthesize(bpsk_prior(0.5), np.eye(4), gains, 0.1, np.random.default_rng(0))
 
 
 class TestGaussianMatrix:

@@ -39,20 +39,19 @@ def make_soav_problem(seed, n=20, m=14, rho=0.8, snr_db=8.0):
     prior = bpsk_prior(rho)
     rng = np.random.default_rng(seed)
     sigma_w2 = n * (1 - rho) / m * 10.0 ** (-snr_db / 10.0)
-    inst = synthesize(prior, gaussian_matrix(m, n, rng), np.ones(n), sigma_w2, rng)
+    inst = synthesize(prior, gaussian_matrix(m, n, rng), sigma_w2, rng)
     weights = solve_weights(prior, default_offset(prior))
     return inst, 1.0 / (2.0 * sigma_w2), weights, lambda gamma: ternary_prox(gamma, weights)
 
 
 def instance_of(B, y):
-    """The SystemInstance with S A = B and received vector y."""
+    """The SystemInstance with S = B and received vector y."""
     m, n = np.shape(B)
-    return SystemInstance(S=B, gains=np.ones(n), sigma_w2=1.0, b=np.zeros(n),
-                          w=np.zeros(m), y=y)
+    return SystemInstance(S=B, sigma_w2=1.0, b=np.zeros(n), w=np.zeros(m), y=y)
 
 
 def spectral_lipschitz(inst, scale):
-    """The bound L both solvers take: formed from the ``mix_norm_sq`` of S A."""
+    """The bound L both solvers take: formed from the ``mix_norm_sq`` of S."""
     return lipschitz_bound(scale, inst.mix_norm_sq)
 
 
@@ -69,7 +68,7 @@ def quadratic_value(B, y, scale):
 def fixed_point_residual(inst, scale, prox_at, x):
     """||x - prox(x - grad f(x) / L)|| / (1 + ||x||) at the solvers' L, by np.linalg.norm."""
     L = spectral_lipschitz(inst, scale)
-    step = gradient(inst.mix, inst.y, scale, x) / L
+    step = gradient(inst.S, inst.y, scale, x) / L
     return np.linalg.norm(x - prox_at(1.0 / L)(x - step)) / (1.0 + np.linalg.norm(x))
 
 
@@ -86,7 +85,7 @@ def soft_threshold_at(gamma):
 
 
 class TestQuadraticData:
-    """The quadratic term scale * ||y - S A x||^2, which both solvers take as (instance, scale)."""
+    """The quadratic term scale * ||y - S x||^2, which both solvers take as (instance, scale)."""
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_nonpositive_or_nonfinite_scale(self, scale):
@@ -161,9 +160,9 @@ class TestEstimateLipschitz:
         assert exact <= estimate <= 1.011 * exact
 
     def test_zero_operator_rejected(self):
-        # All gains zero: S A = 0 has no spectral bound, so no step exists.
-        inst = SystemInstance(S=np.ones((3, 3)), gains=np.zeros(3), sigma_w2=1.0,
-                              b=np.zeros(3), w=np.zeros(3), y=np.zeros(3))
+        # S = 0 has no spectral bound, so no step exists.
+        inst = SystemInstance(S=np.zeros((3, 3)), sigma_w2=1.0, b=np.zeros(3), w=np.zeros(3),
+                              y=np.zeros(3))
         assert inst.mix_norm_sq == 0.0
         prior = bpsk_prior(0.8)
         with pytest.raises(ValueError, match="zero operator"):
@@ -228,11 +227,11 @@ class TestFista:
         inst, scale, weights, prox_at = make_soav_problem(seed=100)
         report = fista(inst, prox_at, scale, SolverConfig(max_iters=2000, rel_tol=1e-14))
         oracle_x = soav_prox_gradient_oracle(
-            inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY,
+            inst.S, inst.y, inst.sigma_w2, weights.q, TERNARY,
             spectral_lipschitz(inst, scale), iters=50_000
         )
         f, oracle_f = (
-            soav_objective_ref(x, inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY)
+            soav_objective_ref(x, inst.S, inst.y, inst.sigma_w2, weights.q, TERNARY)
             for x in (report.solution, oracle_x)
         )
         assert f <= oracle_f + 1e-5 * abs(oracle_f)
@@ -256,14 +255,14 @@ class TestFista:
         inst, scale, weights, prox_at = make_soav_problem(seed=102)
 
         def objective(x):
-            return soav_objective_ref(x, inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY)
+            return soav_objective_ref(x, inst.S, inst.y, inst.sigma_w2, weights.q, TERNARY)
 
         def objective_after(iters):
             config = SolverConfig(max_iters=iters, rel_tol=0.0)
             return objective(fista(inst, prox_at, scale, config).solution)
 
         f_star = objective(soav_prox_gradient_oracle(
-            inst.mix, inst.y, inst.sigma_w2, weights.q, TERNARY,
+            inst.S, inst.y, inst.sigma_w2, weights.q, TERNARY,
             spectral_lipschitz(inst, scale), iters=50_000
         ))
         gap_50 = objective_after(50) - f_star
@@ -347,7 +346,7 @@ class TestMemoryLayout:
     """fista forms H = I - a B^T B and c = a B^T y with ``B.T.dot``, and its
     loop multiplies by H, a fresh C-ordered array, with ``H.dot``.
 
-    B is the instance's ``mix``, a C- or F-ordered array. ``dot`` and ``@``
+    B is the instance's ``S``, a C- or F-ordered array. ``dot`` and ``@``
     agree bit for bit on both, so fista keeps the bits of the ``@`` reference
     loop.
     """
@@ -366,7 +365,7 @@ class TestMemoryLayout:
     def test_dot_matches_matmul_on_contiguous_layouts(self):
         rng = np.random.default_rng(41)
         for name, S in self.layouts().items():
-            B = instance_of(S, np.zeros(70)).mix
+            B = instance_of(S, np.zeros(70)).S
             assert B.flags.c_contiguous or B.flags.f_contiguous, name
             for _ in range(20):
                 x, r = rng.standard_normal(B.shape[1]), rng.standard_normal(B.shape[0])
@@ -382,7 +381,7 @@ class TestMemoryLayout:
             config = SolverConfig(max_iters=100, rel_tol=0.0)
             report = fista(inst, soft_threshold_at, 30.0, config)
             x, iterations, _ = fista_reference(
-                inst.mix, inst.y, 30.0, soft_threshold, lambda _x: 0.0,
+                inst.S, inst.y, 30.0, soft_threshold, lambda _x: 0.0,
                 spectral_lipschitz(inst, 30.0), 100, 0.0,
             )
             assert report.iterations == iterations == 100
@@ -397,7 +396,7 @@ class TestFistaMatchesReferenceLoop:
     def assert_same_solve(inst, scale, prox_at, config, ref_prox):
         report = fista(inst, prox_at, scale, config)
         x, iterations, _ = fista_reference(
-            inst.mix, inst.y, scale, ref_prox, lambda _x: 0.0,
+            inst.S, inst.y, scale, ref_prox, lambda _x: 0.0,
             spectral_lipschitz(inst, scale), config.max_iters, config.rel_tol,
         )
         np.testing.assert_array_equal(report.solution.view(np.uint64), x.view(np.uint64))
@@ -451,13 +450,12 @@ def criterion_3_solves(kind, rho):
     with mock.patch.object(optim, "_polish", recording_polish):
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
-            insts.append(synthesize(prior, gaussian_matrix(14, 20, rng), np.ones(20),
-                                    sigma_w2, rng))
+            insts.append(synthesize(prior, gaussian_matrix(14, 20, rng), sigma_w2, rng))
             reports.append(admm(insts[-1], lambda g: ternary_prox(g, weights), scale,
                                 SolverConfig()))
     polished = [any(r.solution is c for c in candidates) for r in reports]
     oracle = batched_soav_prox_gradient_oracle(
-        [i.mix for i in insts], [i.y for i in insts], [objective_w2] * len(insts),
+        [i.S for i in insts], [i.y for i in insts], [objective_w2] * len(insts),
         weights.q, TERNARY, [spectral_lipschitz(i, scale) for i in insts], iters=50_000,
     )
     return objective_w2, scale, weights, insts, reports, polished, oracle
@@ -478,7 +476,7 @@ class TestAdmm:
         prox_at = lambda g: ternary_prox(g, weights)  # noqa: E731
         for inst, report, oracle_x in zip(insts, reports, oracle):
             f, f_star = (
-                soav_objective_ref(x, inst.mix, inst.y, objective_w2, weights.q, TERNARY)
+                soav_objective_ref(x, inst.S, inst.y, objective_w2, weights.q, TERNARY)
                 for x in (report.solution, oracle_x)
             )
             assert f - f_star <= 1e-5 * abs(f_star)
@@ -499,7 +497,7 @@ class TestAdmm:
             assert report.converged and report.iterations % 10 == 0
             assert fixed_point_residual(inst, scale, prox_at, report.solution) <= 1e-8
             f, f_star = (
-                soav_objective_ref(x, inst.mix, inst.y, objective_w2, weights.q, TERNARY)
+                soav_objective_ref(x, inst.S, inst.y, objective_w2, weights.q, TERNARY)
                 for x in (report.solution, oracle_x)
             )
             assert f <= f_star + 1e-12 * abs(f_star)
@@ -513,7 +511,7 @@ class TestAdmm:
         S = rng.standard_normal((14, 20)) / np.sqrt(14)
         S[:, 1] = S[:, 0]
         sigma_w2 = 20 * (1 - 0.8) / 14 * 10 ** (-0.8)
-        inst = synthesize(prior, S, np.ones(20), sigma_w2, rng)
+        inst = synthesize(prior, S, sigma_w2, rng)
         scale = 30.0 if kind == "lasso" else 1.0 / (2.0 * sigma_w2)
         singular, solve = [], np.linalg.solve
 
@@ -549,7 +547,7 @@ class TestAdmm:
         inst, *_ = make_soav_problem(seed=60)
         mu = inst.admm_ridge
         assert mu == 0.005 * inst.mix_norm_sq
-        expected = mu * np.linalg.inv(inst.mix.T @ inst.mix + mu * np.identity(inst.n_users))
+        expected = mu * np.linalg.inv(inst.S.T @ inst.S + mu * np.identity(inst.n_users))
         np.testing.assert_allclose(inst.admm_factor, expected, rtol=0.0, atol=1e-10)
         assert not inst.admm_factor.flags.writeable
 

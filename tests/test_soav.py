@@ -141,8 +141,13 @@ class TestSolveWeights:
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf")])
     def test_nonfinite_offset_raises(self, c):
-        with pytest.raises(SingularWeightSystemError):
+        # Bad input, not a singular system: a sweep would count a
+        # SingularWeightSystemError as a recoverable detector failure.
+        with pytest.raises(ValueError, match="^c must be finite$") as raised:
             solve_weights(bpsk_prior(0.8), c)
+        assert not isinstance(raised.value, SingularWeightSystemError)
+        with pytest.raises(ValueError, match="^offset must be finite$"):
+            default_offset(bpsk_prior(0.8), c)
 
 
 class TestSoavObjective:
@@ -150,16 +155,16 @@ class TestSoavObjective:
         prior = bpsk_prior(0.8)
         weights = solve_weights(prior, default_offset(prior))
         rng = np.random.default_rng(2)
-        inst = noiseless_instance(prior, gaussian_matrix(7, 10, rng), np.ones(10), 0.5, rng)
+        inst = noiseless_instance(prior, gaussian_matrix(7, 10, rng), 0.5, rng)
         value = soav_objective(inst.b, inst, weights)
         assert value == pytest.approx(_soav_penalty(inst.b, weights))
 
     def test_hand_evaluated_l1_terms(self):
         prior = bpsk_prior(0.5)
         weights = SoavWeights(q=(1.0, 1.0, 1.0), c=0.0, alphabet=TERNARY)
-        inst = noiseless_instance(prior, np.eye(2), np.ones(2), 1.0, np.random.default_rng(0))
+        inst = noiseless_instance(prior, np.eye(2), 1.0, np.random.default_rng(0))
         # Force x = 0, y = 0: only the l1 spread terms remain.
-        inst = type(inst)(S=inst.S, gains=inst.gains, sigma_w2=1.0,
+        inst = type(inst)(S=inst.S, sigma_w2=1.0,
                           b=inst.b, w=np.zeros(2), y=np.zeros(2))
         assert soav_objective(np.zeros(2), inst, weights) == pytest.approx(4.0)
 
@@ -167,11 +172,11 @@ class TestSoavObjective:
         prior = bpsk_prior(0.8)
         weights = solve_weights(prior, default_offset(prior))
         rng = np.random.default_rng(5)
-        inst = synthesize(prior, gaussian_matrix(6, 9, rng), np.ones(9), 0.2, rng)
+        inst = synthesize(prior, gaussian_matrix(6, 9, rng), 0.2, rng)
         x = rng.standard_normal(9)
         pen = _soav_penalty(x, weights)
         base = soav_objective(x, inst, weights) - pen
-        doubled = type(inst)(S=inst.S, gains=inst.gains, sigma_w2=0.4,
+        doubled = type(inst)(S=inst.S, sigma_w2=0.4,
                              b=inst.b, w=inst.w, y=inst.y)
         assert soav_objective(x, doubled, weights) - pen == pytest.approx(
             base / 2.0, rel=1e-12
@@ -181,7 +186,7 @@ class TestSoavObjective:
         prior = bpsk_prior(0.8)
         weights = solve_weights(prior, default_offset(prior))
         rng = np.random.default_rng(5)
-        inst = synthesize(prior, gaussian_matrix(6, 9, rng), np.ones(9), 0.2, rng)
+        inst = synthesize(prior, gaussian_matrix(6, 9, rng), 0.2, rng)
         with pytest.raises(ValueError):
             soav_objective(np.zeros(8), inst, weights)
 
