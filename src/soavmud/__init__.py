@@ -21,6 +21,7 @@ from .detectors import (
     threshold_map,
 )
 from .harness import (
+    DetectorSummary,
     ExperimentConfig,
     SweepResult,
     TrialError,

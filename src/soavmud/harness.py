@@ -2,7 +2,7 @@
 
 A sweep walks one axis (SNR in dB, or the non-active rate rho at fixed noise
 variance). At every axis point it runs `trials` independent trials; within a
-trial all configured detectors see the identical realization (S, A, b, w),
+trial all configured detectors see the identical realization (S, b, w),
 so detector comparisons are paired. Trial streams are keyed by
 (master_seed, axis value, trial index), which makes results independent of
 execution order and of the degree of parallelism.
@@ -35,6 +35,7 @@ __all__ = [
     "ExperimentConfig",
     "TrialError",
     "TrialRecord",
+    "DetectorSummary",
     "SweepResult",
     "run_trial",
     "run_sweep",
@@ -48,6 +49,10 @@ logger = logging.getLogger(__name__)
 _MATRIX_STREAM_KEY = 0
 
 _RECOVERABLE = (DivergenceError, SingularWeightSystemError, np.linalg.LinAlgError)
+
+# The most users whose 3**n_users ternary candidates fit the enumeration bound,
+# so that the config check never forms a power of 3 the size of n_users.
+_MAX_EXHAUSTIVE_USERS = max(n for n in range(64) if 3**n <= _ENUMERATION_BOUND)
 
 # (set, get) thread-count functions of the OpenBLAS builds numpy ships, in the
 # order they are tried: numpy 2.x wheels, then older 64-bit and 32-bit builds.
@@ -122,7 +127,7 @@ class ExperimentConfig:
         if len(set(kinds)) != len(kinds):
             raise ValueError("detector kinds must be unique within a run")
         # The prior is always ternary, so exhaustive MAP scans 3**n_users candidates.
-        if "exhaustive_map" in kinds and 3**self.n_users > _ENUMERATION_BOUND:
+        if "exhaustive_map" in kinds and self.n_users > _MAX_EXHAUSTIVE_USERS:
             raise ValueError(
                 f"exhaustive_map would scan 3^{self.n_users} candidates, more than"
                 f" the enumeration bound {_ENUMERATION_BOUND}"
@@ -233,19 +238,23 @@ class TrialRecord:
 
 
 @dataclass(frozen=True)
+class DetectorSummary:
+    """One detector's error statistics at one axis point."""
+
+    trials: int             # trials averaged: those on which the detector did not fail
+    error_ratio: float      # mean symbol error ratio over them; NaN when there are none
+    std_err: float          # standard error of that mean; 0 for a single trial
+    failure_reasons: collections.Counter  # failure message -> trials that failed with it
+    solver: Optional[tuple]  # None or (mean iterations, cap hits, median residual) of its solves
+
+
+@dataclass(frozen=True)
 class SweepResult:
     """Aggregated error statistics for one axis point of ``config``."""
 
     axis_value: float
-    means: dict            # detector kind -> mean error ratio over successful trials
-    std_errs: dict         # detector kind -> standard error of that mean
-    failures: dict         # detector kind -> number of failed trials
-    failure_reasons: dict  # detector kind -> Counter of the reasons its trials failed
+    detectors: dict         # detector kind -> DetectorSummary, in config order
     config: ExperimentConfig
-    mean_iterations: dict  # solver kind -> mean iterations of its successful solves
-    cap_hits: dict         # solver kind -> solves that stopped at max_iters unconverged
-    median_residuals: dict  # solver kind -> median fixed-point residual of its solves
-    # A solver kind with no successful solve at this point has no entry.
 
 
 @functools.lru_cache(maxsize=1)
@@ -300,53 +309,27 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
         ) from exc
 
 
-def _aggregate(config: ExperimentConfig, axis_value: float, records) -> SweepResult:
-    means, std_errs, failures, failure_reasons = {}, {}, {}, {}
-    mean_iterations, cap_hits, median_residuals = {}, {}, {}
-    for det in config.detectors:
-        solves = [rec.solves[det.kind] for rec in records if det.kind in rec.solves]
-        if solves:
-            mean_iterations[det.kind] = sum(n for n, _, _ in solves) / len(solves)
-            cap_hits[det.kind] = sum(1 for _, done, _ in solves if not done)
-            # Not np.median: its first call imports numpy.ma, 2 MiB of peak RSS.
-            residuals = sorted(r for _, _, r in solves)
-            half = len(residuals) // 2
-            median_residuals[det.kind] = (
-                residuals[half] if len(residuals) % 2
-                else 0.5 * (residuals[half - 1] + residuals[half])
-            )
-        ratios = np.array(
-            [
-                rec.error_counts[det.kind] / config.n_users
-                for rec in records
-                if rec.error_counts[det.kind] is not None
-            ]
-        )
-        failures[det.kind] = config.trials - ratios.size
-        failure_reasons[det.kind] = collections.Counter(
-            rec.failure_reasons[det.kind] for rec in records if det.kind in rec.failure_reasons
-        )
-        if ratios.size == 0:
-            means[det.kind] = float("nan")
-            std_errs[det.kind] = float("nan")
-        else:
-            means[det.kind] = float(np.mean(ratios))
-            std_errs[det.kind] = (
-                float(np.std(ratios, ddof=1) / np.sqrt(ratios.size))
-                if ratios.size > 1
-                else 0.0
-            )
-    return SweepResult(
-        axis_value=float(axis_value),
-        means=means,
-        std_errs=std_errs,
-        failures=failures,
-        failure_reasons=failure_reasons,
-        config=config,
-        mean_iterations=mean_iterations,
-        cap_hits=cap_hits,
-        median_residuals=median_residuals,
-    )
+def _summarize(kind: str, n_users: int, records) -> DetectorSummary:
+    """The statistics of detector ``kind`` over the records of one axis point."""
+    ratios = np.array([rec.error_counts[kind] / n_users for rec in records
+                       if rec.error_counts[kind] is not None])
+    solves = [rec.solves[kind] for rec in records if kind in rec.solves]
+    solver = None
+    if solves:
+        # Not np.median: its first call imports numpy.ma, 2 MiB of peak RSS.
+        residuals = sorted(r for _, _, r in solves)
+        half = len(residuals) // 2
+        median = (residuals[half] if len(residuals) % 2
+                  else 0.5 * (residuals[half - 1] + residuals[half]))
+        solver = (sum(n for n, _, _ in solves) / len(solves),
+                  sum(1 for _, done, _ in solves if not done), median)
+    error_ratio = std_err = float("nan")
+    if ratios.size:
+        error_ratio = float(np.mean(ratios))
+        std_err = float(np.std(ratios, ddof=1) / np.sqrt(ratios.size)) if ratios.size > 1 else 0.0
+    reasons = collections.Counter(rec.failure_reasons[kind] for rec in records
+                                  if kind in rec.failure_reasons)
+    return DetectorSummary(ratios.size, error_ratio, std_err, reasons, solver)
 
 
 def _blas_thread_functions():
@@ -399,31 +382,33 @@ def _one_blas_thread():
         set_threads(previous)
 
 
-def _run_shard(config: ExperimentConfig, values, indices, shard: int, processes: int):
-    """Run positions ``shard``, ``shard + processes``, ... of the flattened trials.
+def _run_shard(config: ExperimentConfig, shard: int, processes: int):
+    """Run positions ``shard``, ``shard + processes``, ... of the sweep's trials.
 
+    Position j is trial j mod ``trials`` of axis point j // ``trials``.
     Returns ``(records, failure)``: the records in position order, and None or
     ``(position, TrialError)`` for the first trial that raised, at which the
     shard stops.
     """
+    points = config.axis_points
     records = []
-    for position in range(shard, len(values), processes):
+    for position in range(shard, len(points) * config.trials, processes):
+        point, trial_index = divmod(position, config.trials)
         try:
-            records.append(run_trial(config, values[position], indices[position]))
+            records.append(run_trial(config, points[point], trial_index))
         except TrialError as exc:
             return records, (position, exc)
     return records, None
 
 
-def _run_child(config: ExperimentConfig, values, indices, shard: int, processes: int,
-               write_fd: int):
+def _run_child(config: ExperimentConfig, shard: int, processes: int, write_fd: int):
     """Run one shard in a forked child, pickle its outcome into the pipe, exit.
 
     It never returns: exit status 0 means the whole outcome was written.
     """
     status = 1
     try:
-        outcome = _run_shard(config, values, indices, shard, processes)
+        outcome = _run_shard(config, shard, processes)
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -450,13 +435,16 @@ def _lost_child(config: ExperimentConfig, status: int) -> ChildProcessError:
     )
 
 
-def _fork_join(config: ExperimentConfig, values, indices, processes: int) -> list:
-    """The records of every trial, run on ``processes`` processes, in sweep order.
+def _fork_join(config: ExperimentConfig) -> list:
+    """The records of every trial, in sweep order.
 
-    Position j of the flattened trials goes to shard j mod ``processes``;
-    this process runs shard 0 and forks one child per other shard, so with
-    one process the sweep runs here alone.
+    The trials run on ``min(parallelism, trials x axis points)`` processes,
+    and position j goes to shard j mod that count. This process runs shard 0
+    and forks one child per other shard, so with one process the sweep runs
+    here alone.
     """
+    total = len(config.axis_points) * config.trials
+    processes = min(config.parallelism, total)
     children = []  # (pid, read end of its pipe), in shard order, until reaped
     try:
         for shard in range(1, processes):
@@ -468,12 +456,12 @@ def _fork_join(config: ExperimentConfig, values, indices, processes: int) -> lis
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _run_child(config, values, indices, shard, processes, write_fd)
+                _run_child(config, shard, processes, write_fd)
             # Closed at once, so no later child holds it: EOF on the pipe then
             # means that this child is done.
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
-        outcomes = [_run_shard(config, values, indices, 0, processes)]
+        outcomes = [_run_shard(config, 0, processes)]
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -493,7 +481,7 @@ def _fork_join(config: ExperimentConfig, values, indices, processes: int) -> lis
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    records = [None] * len(values)
+    records = [None] * total
     for shard, (shard_records, _) in enumerate(outcomes):
         records[shard::processes] = shard_records
     return records
@@ -504,8 +492,9 @@ def run_sweep(config: ExperimentConfig) -> list:
 
     The trials run on ``min(parallelism, trials x axis points)`` processes,
     with a single BLAS thread each. This process runs one shard of them and
-    forks a child for each other shard; position j of the flattened (axis
-    point, trial) list goes to shard j mod the process count. A child that dies (killed,
+    forks a child for each other shard; trial i of axis point k is position
+    j = k x trials + i, which goes to shard j mod the process count. Each
+    result holds one ``DetectorSummary`` per detector. A child that dies (killed,
     or out of memory) or sends nothing raises ``ChildProcessError`` naming
     the sweep's master seed, and no child is left running. A trial that
     raises, in any process, raises ``TrialError`` naming the trial; when
@@ -513,14 +502,14 @@ def run_sweep(config: ExperimentConfig) -> list:
     ``details`` hold the cause's traceback; only one raised in this process
     keeps the cause itself as ``__cause__``.
     """
-    values = [value for value in config.axis_points for _ in range(config.trials)]
-    indices = [index for _ in config.axis_points for index in range(config.trials)]
     with _one_blas_thread():
-        records = _fork_join(config, values, indices, min(config.parallelism, len(values)))
+        records = _fork_join(config)
     results = []
     for i, axis_value in enumerate(config.axis_points):
         block = records[i * config.trials : (i + 1) * config.trials]
-        results.append(_aggregate(config, axis_value, block))
+        summaries = {det.kind: _summarize(det.kind, config.n_users, block)
+                     for det in config.detectors}
+        results.append(SweepResult(float(axis_value), summaries, config))
     return results
 
 
@@ -556,37 +545,35 @@ def _metadata_lines(config: ExperimentConfig, results) -> list:
                 f"max_iters={det.solver.max_iters} rel_tol={_fmt(det.solver.rel_tol)}"
             )
         lines.append(" ".join(parts))
-    if any(det.kind == "map_soav" for det in config.detectors):
-        soav_det = next(det for det in config.detectors if det.kind == "map_soav")
-        for rho in config.rho_values():
-            weights = solve_weights(
-                bpsk_prior(rho), default_offset(bpsk_prior(rho), soav_det.offset)
-            )
-            q_text = ",".join(_fmt(float(v)) for v in weights.q)
-            lines.append(
-                f"# weights rho={_fmt(rho)}: C={_fmt(weights.c)} q=[{q_text}]"
-                f" convex={weights.convex}"
-            )
+    for det in config.detectors:
+        if det.kind == "map_soav":
+            for rho in config.rho_values():
+                prior = bpsk_prior(rho)
+                weights = solve_weights(prior, default_offset(prior, det.offset))
+                q_text = ",".join(_fmt(float(v)) for v in weights.q)
+                lines.append(f"# weights rho={_fmt(rho)}: C={_fmt(weights.c)} q=[{q_text}]"
+                             f" convex={weights.convex}")
     for res in results:
-        for kind, count in res.failures.items():
-            if count:
+        for kind, summary in res.detectors.items():
+            if summary.failure_reasons:
                 where = f"{config.axis}={_fmt(res.axis_value)} {kind}"
-                lines.append(f"# failures {where}: {count}")
+                lines.append(f"# failures {where}: {config.trials - summary.trials}")
                 # A reason spread over several lines would end its '#' line early.
-                for reason, n in sorted(res.failure_reasons[kind].items()):
+                for reason, n in sorted(summary.failure_reasons.items()):
                     one_line = " ".join(reason.splitlines())
                     lines.append(f"# failure_reason {where}: {n} x {one_line}")
     # Iteration counts, cap hits and residuals depend only on the trials, never
     # on the process count, so these lines keep the output byte-identical too.
     # The residual gets two digits: enough for its order of magnitude.
     for res in results:
-        for kind, mean in res.mean_iterations.items():
-            solves = config.trials - res.failures[kind]
-            lines.append(
-                f"# solver {config.axis}={_fmt(res.axis_value)} {kind}:"
-                f" mean_iterations={_fmt(mean)} cap_hits={res.cap_hits[kind]}/{solves}"
-                f" median_residual={res.median_residuals[kind]:.2g}"
-            )
+        for kind, summary in res.detectors.items():
+            if summary.solver is not None:
+                mean, capped, residual = summary.solver
+                lines.append(
+                    f"# solver {config.axis}={_fmt(res.axis_value)} {kind}:"
+                    f" mean_iterations={_fmt(mean)} cap_hits={capped}/{summary.trials}"
+                    f" median_residual={residual:.2g}"
+                )
     return lines
 
 
@@ -606,21 +593,10 @@ def emit_csv(results, destination) -> None:
     lines = _metadata_lines(config, results)
     lines.append("axis,axis_value,detector,trials,error_ratio,std_err,master_seed")
     for res in results:
-        for det in config.detectors:
-            used = config.trials - res.failures[det.kind]
-            lines.append(
-                ",".join(
-                    (
-                        config.axis,
-                        _fmt(res.axis_value),
-                        det.kind,
-                        str(used),
-                        _fmt(res.means[det.kind]),
-                        _fmt(res.std_errs[det.kind]),
-                        str(config.master_seed),
-                    )
-                )
-            )
+        for kind, summary in res.detectors.items():
+            row = (config.axis, _fmt(res.axis_value), kind, str(summary.trials),
+                   _fmt(summary.error_ratio), _fmt(summary.std_err), str(config.master_seed))
+            lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

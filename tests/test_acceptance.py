@@ -126,8 +126,8 @@ def test_criterion_4_figure4_ordering():
     ok = True
     details = []
     for res in results:
-        soav, las, lin = (res.means[k] for k in ("map_soav", "lasso", "lmmse"))
-        margin = 2.0 * np.hypot(res.std_errs["map_soav"], res.std_errs["lmmse"])
+        soav, las, lin = (res.detectors[k].error_ratio for k in ("map_soav", "lasso", "lmmse"))
+        margin = 2.0 * np.hypot(res.detectors["map_soav"].std_err, res.detectors["lmmse"].std_err)
         ok &= soav <= las <= lin and soav < lin - margin
         details.append(
             f"{res.axis_value:g} dB: soav={soav:.4f} lasso={las:.4f} lmmse={lin:.4f}"
@@ -145,7 +145,7 @@ def test_criterion_5_figure5_regime():
     ok = True
     details = []
     for res in results:
-        soav, las, lin = (res.means[k] for k in ("map_soav", "lasso", "lmmse"))
+        soav, las, lin = (res.detectors[k].error_ratio for k in ("map_soav", "lasso", "lmmse"))
         ok &= soav <= 0.5 * las and soav <= 0.5 * lin
         details.append(
             f"{res.axis_value:g} dB: soav={soav:.4f} lasso={las:.4f} lmmse={lin:.4f}"
@@ -161,7 +161,8 @@ def test_criterion_6_figure6_shape():
         parallelism=PARALLELISM,
     )
     results = run_sweep(config)
-    by_rho = {res.axis_value: res.means for res in results}
+    by_rho = {res.axis_value: {k: s.error_ratio for k, s in res.detectors.items()}
+              for res in results}
     ok = True
     details = []
     for rho in (0.05, 0.95):
@@ -183,10 +184,11 @@ def test_criterion_7_exhaustive_map_sanity():
         parallelism=PARALLELISM,
     )
     res = run_sweep(config)[0]
-    oracle_mean = res.means["exhaustive_map"]
-    ok = all(oracle_mean <= res.means[k] for k in ("lmmse", "lasso", "map_soav"))
+    means = {k: s.error_ratio for k, s in res.detectors.items()}
+    oracle_mean = means["exhaustive_map"]
+    ok = all(oracle_mean <= means[k] for k in ("lmmse", "lasso", "map_soav"))
     report(7, "exhaustive-MAP lower bound", ok,
-           ", ".join(f"{k}={v:.4f}" for k, v in res.means.items()))
+           ", ".join(f"{k}={v:.4f}" for k, v in means.items()))
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -17,11 +17,11 @@ from soavmud.cli import main, parse_axis, parse_detectors
 from soavmud.detectors import DetectorConfig
 
 
-def _run_python(*args, max_memory=None):
+def _run_python(*args, max_memory=None, timeout=60):
     """Run a fresh interpreter with ``args``, importing this checkout's soavmud.
 
     ``max_memory`` caps its address space in bytes, so that a runaway
-    allocation fails there within seconds.
+    allocation fails there within seconds; ``timeout`` caps its wall time.
     """
     src = str(Path(soavmud.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -31,7 +31,7 @@ def _run_python(*args, max_memory=None):
         resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
 
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60, preexec_fn=limit_memory if max_memory else None)
+                          timeout=timeout, preexec_fn=limit_memory if max_memory else None)
 
 
 class TestParsing:
@@ -404,6 +404,14 @@ class TestCommands:
                      "--parallelism", "2"])
         assert code == 1
         assert "enumeration bound" in capsys.readouterr().err
+
+    def test_huge_exhaustive_map_rejected_at_once(self):
+        # Forming 3^100,000,000 to compare it with the bound takes minutes.
+        proc = _run_python("-m", "soavmud.cli", "oracle-compare", "--users", "100000000",
+                           "--meas", "6", "--trials", "1", timeout=20)
+        assert proc.returncode == 1
+        assert ("exhaustive_map would scan 3^100000000 candidates, more than the"
+                " enumeration bound 16777216") in proc.stderr
 
     def test_killed_worker_fails_the_sweep_instead_of_hanging(self):
         script = textwrap.dedent("""

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine, aggregation, and CSV emission."""
 
+import collections
 import dataclasses
 import functools
 import io
@@ -361,24 +362,51 @@ class TestRunSweep:
                            detectors=(DetectorConfig(kind="lmmse"),))
         record = run_trial(cfg, 10.0, 0)
         result = run_sweep(cfg)[0]
-        assert result.means["lmmse"] == record.error_counts["lmmse"] / cfg.n_users
-        assert result.std_errs["lmmse"] == 0.0
+        assert result.detectors["lmmse"].error_ratio == record.error_counts["lmmse"] / cfg.n_users
+        assert result.detectors["lmmse"].std_err == 0.0
 
-    def test_mean_is_arithmetic_mean_of_trials(self):
+    def test_mean_is_arithmetic_mean_of_trials(self, monkeypatch):
+        # lasso fails on the trials whose y[0] is positive, for one of two
+        # reasons; lmmse runs no solver, and map_soav never fails.
+        real = harness.run_detector
+
+        def flaky(instance, prior, config):
+            if config.kind == "lasso" and instance.y[0] > 0:
+                raise DivergenceError(f"injected {int(instance.y[1] > 0)}")
+            return real(instance, prior, config)
+
+        monkeypatch.setattr(harness, "run_detector", flaky)
         cfg = small_config(trials=6, snr_db=10.0)
-        ratios = [
-            run_trial(cfg, 10.0, i).error_counts["lasso"] / cfg.n_users
-            for i in range(6)
-        ]
+        records = [run_trial(cfg, 10.0, i) for i in range(6)]
         result = run_sweep(cfg)[0]
-        assert abs(result.means["lasso"] - np.mean(ratios)) < 1e-12
+        assert list(result.detectors) == ["lmmse", "lasso", "map_soav"]
+        for kind, summary in result.detectors.items():
+            ratios = [rec.error_counts[kind] / cfg.n_users for rec in records
+                      if rec.error_counts[kind] is not None]
+            assert summary.trials == len(ratios)
+            assert abs(summary.error_ratio - np.mean(ratios)) < 1e-12
+            assert summary.std_err == pytest.approx(
+                np.std(ratios, ddof=1) / np.sqrt(len(ratios)), rel=1e-12)
+            assert summary.failure_reasons == collections.Counter(
+                rec.failure_reasons[kind] for rec in records if kind in rec.failure_reasons)
+            solves = [rec.solves[kind] for rec in records if kind in rec.solves]
+            if kind == "lmmse":
+                assert summary.solver is None
+                continue
+            mean_iterations, cap_hits, median_residual = summary.solver
+            assert mean_iterations == pytest.approx(np.mean([n for n, _, _ in solves]))
+            assert cap_hits == sum(not done for _, done, _ in solves)
+            assert median_residual == pytest.approx(np.median([r for _, _, r in solves]))
+        lasso = result.detectors["lasso"]
+        assert 0 < lasso.trials < cfg.trials
+        assert len(lasso.failure_reasons) == 2
+        assert sum(lasso.failure_reasons.values()) == cfg.trials - lasso.trials
 
     def test_parallelism_does_not_change_results(self):
         serial = run_sweep(small_config())
         parallel = run_sweep(small_config(parallelism=2))
         for a, b in zip(serial, parallel):
-            assert a.means == b.means
-            assert a.std_errs == b.std_errs
+            assert a.detectors == b.detectors
 
     def test_parallelism_keeps_csv_bytes_at_paper_scale(self):
         # At N = 100, M = 70 LMMSE's 70x100x70 product is large enough for
@@ -479,10 +507,10 @@ class TestRunSweep:
             with caplog.at_level(logging.WARNING, logger="soavmud.harness"):
                 results = run_sweep(cfg)
         res = results[0]
-        assert res.failures["map_soav"] == 3
-        assert np.isnan(res.means["map_soav"])
-        assert res.failures["lmmse"] == 0
-        assert np.isfinite(res.means["lmmse"])
+        assert cfg.trials - res.detectors["map_soav"].trials == 3
+        assert np.isnan(res.detectors["map_soav"].error_ratio)
+        assert cfg.trials - res.detectors["lmmse"].trials == 0
+        assert np.isfinite(res.detectors["lmmse"].error_ratio)
         assert any("map_soav failed" in rec.getMessage() for rec in caplog.records)
         buf = io.StringIO()
         emit_csv(results, buf)
@@ -712,7 +740,7 @@ class TestEmitCsv:
         assert fields["detector"] == "lmmse"
         assert int(fields["trials"]) == 2
         assert float(fields["error_ratio"]) == pytest.approx(
-            results[0].means["lmmse"], rel=1e-5
+            results[0].detectors["lmmse"].error_ratio, rel=1e-5
         )
         assert int(fields["master_seed"]) == cfg.master_seed
 
