@@ -232,7 +232,7 @@ class TrialRecord:
     It names no trial: ``run_sweep`` keeps the records in trial order.
     """
 
-    error_counts: dict      # detector kind -> int, or None when the detector failed
+    error_counts: dict      # detector kind -> int, only for detectors that did not fail
     failure_reasons: dict   # detector kind -> message, only for failed detectors
     solves: dict            # detector kind -> (iterations, converged, residual), solver runs only
 
@@ -290,7 +290,6 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
             try:
                 result = run_detector(instance, prior, det)
             except _RECOVERABLE as exc:
-                counts[det.kind] = None
                 reasons[det.kind] = f"{type(exc).__name__}: {exc}"
                 logger.warning(
                     "trial %d at %s=%s: detector %s failed (%s)",
@@ -312,7 +311,7 @@ def run_trial(config: ExperimentConfig, axis_value: float, trial_index: int) -> 
 def _summarize(kind: str, n_users: int, records) -> DetectorSummary:
     """The statistics of detector ``kind`` over the records of one axis point."""
     ratios = np.array([rec.error_counts[kind] / n_users for rec in records
-                       if rec.error_counts[kind] is not None])
+                       if kind in rec.error_counts])
     solves = [rec.solves[kind] for rec in records if kind in rec.solves]
     solver = None
     if solves:

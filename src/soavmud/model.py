@@ -5,9 +5,8 @@ mixing matrix, ``b`` a vector of symbols drawn from a finite alphabet, and
 ``w`` i.i.d. zero-mean Gaussian noise of variance ``sigma_w2``. The paper's
 y = S A b + w with channel gains A = diag(a) is this model on the matrix
 S A: a caller with unequal gains folds them into S. A ``SystemInstance``
-also forms, on first use, the M x M Gram S S^T, its top eigenvalue
-sigma_max(S)^2, from which the solvers take their step bound, and the
-N x N factor of ADMM's x-update.
+also forms, on first use, the M x M Gram S S^T and its top eigenvalue
+sigma_max(S)^2, from which lmmse and the solvers take what they share.
 """
 
 from __future__ import annotations
@@ -30,19 +29,20 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
-# ADMM's ridge mu as a share of sigma_max(S)^2.
-_ADMM_RIDGE_SHARE = 0.005
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(name: str, values) -> np.ndarray:
+    """``values`` as a read-only float array; a NaN or infinite entry raises naming ``name``."""
+    arr = np.array(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolPrior:
-    """Finite symbol alphabet r_0 < ... < r_L with occurrence probabilities.
+    """Finite symbol alphabet r_0 < ... < r_L of finite reals, with their probabilities.
 
     ``cdf`` is the normalized cumulative distribution that ``_draw_symbols``
     searches, formed once here.
@@ -53,8 +53,8 @@ class SymbolPrior:
     cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        alphabet = _readonly(self.alphabet)
-        probs = _readonly(self.probs)
+        alphabet = _readonly("alphabet", self.alphabet)
+        probs = _readonly("probs", self.probs)
         if alphabet.ndim != 1 or alphabet.size < 2:
             raise ValueError("alphabet must be 1-D with at least two symbols")
         if probs.shape != alphabet.shape:
@@ -122,13 +122,13 @@ class SystemInstance:
     y: np.ndarray        # (M,) received vector
 
     def __post_init__(self):
-        S = _readonly(self.S)
+        S = _readonly("S", self.S)
         if S.ndim != 2:
             raise ValueError("S must be a 2-D matrix")
         m, n = S.shape
-        b = _readonly(self.b)
-        w = _readonly(self.w)
-        y = _readonly(self.y)
+        b = _readonly("b", self.b)
+        w = _readonly("w", self.w)
+        y = _readonly("y", self.y)
         if b.shape != (n,):
             raise ValueError("b must have one entry per user")
         if w.shape != (m,) or y.shape != (m,):
@@ -136,8 +136,6 @@ class SystemInstance:
         if not 0.0 < self.sigma_w2 < math.inf:
             raise ValueError("sigma_w2 must be positive and finite")
         for name, arr in (("S", S), ("b", b), ("w", w), ("y", y)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
 
     @property
@@ -147,10 +145,6 @@ class SystemInstance:
         The model has no gains apart from S; ROADMAP item 1 deletes this.
         """
         return np.ones(self.n_users)
-
-    @property
-    def n_meas(self) -> int:
-        return int(self.S.shape[0])
 
     @property
     def n_users(self) -> int:
@@ -176,25 +170,6 @@ class SystemInstance:
         of the M x M Gram are those of the N x N one.
         """
         return float(np.linalg.eigvalsh(self.gram)[-1])
-
-    @property
-    def admm_ridge(self) -> float:
-        """ADMM's ridge mu = 0.005 sigma_max(S)^2, with which ``admm_factor`` is formed."""
-        return _ADMM_RIDGE_SHARE * self.mix_norm_sq
-
-    @cached_property
-    def admm_factor(self) -> np.ndarray:
-        """The N x N W = I - S^T (mu I + G)^-1 S, G = ``gram``, formed once and read-only.
-
-        W / mu is (G' + mu I)^-1 for the N x N Gram G' = S^T S, so it
-        gives ADMM's x-update at any scale of the quadratic term: lasso and
-        map_soav on this instance share it. Formed by one solve of the M x M
-        system with N right-hand sides and one N x N product.
-        """
-        ridged = self.gram + self.admm_ridge * np.identity(self.n_meas)
-        factor = np.identity(self.n_users) - self.S.T @ np.linalg.solve(ridged, self.S)
-        factor.setflags(write=False)
-        return factor
 
 
 def _draw_symbols(prior: SymbolPrior, n: int, rng: np.random.Generator) -> np.ndarray:

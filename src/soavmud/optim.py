@@ -14,17 +14,17 @@ FnT ML 2011, section 3.3). It is zero exactly at a minimizer of a convex
 f + g.
 
 ``admm`` is over-relaxed ADMM on the split x = z (Boyd et al., section
-3.4.3). Its x-update is exact, through the instance's cached factor W, so
-its iteration takes no step bound (L sets only its stopping test) and
-cannot diverge on a convex g. The detectors run every convex problem
-through it. At each check where its estimate failed the test, ``admm`` also
-tries a polish, as OSQP finishes its ADMM (Stellato et al., "OSQP: an
-operator splitting solver for quadratic programs", Math. Prog. Comp. 2020):
-once the coordinates on a kink of the ternary penalty are the same as at
-the previous check, the penalty is linear on the others, and one small
-linear solve gives the minimizer for that kink set. The candidate is
-returned only if it passes the same residual test; otherwise the iteration
-goes on unchanged.
+3.4.3). Its x-update is exact, through the factor W that ``_admm_operator``
+forms once per instance, so its iteration takes no step bound (L sets only
+its stopping test) and cannot diverge on a convex g. The detectors run
+every convex problem through it. At each check where its estimate failed
+the test, ``admm`` also tries a polish, as OSQP finishes its ADMM
+(Stellato et al., "OSQP: an operator splitting solver for quadratic
+programs", Math. Prog. Comp. 2020): once the coordinates on a kink of the
+ternary penalty are the same as at the previous check, the penalty is
+linear on the others, and one small linear solve gives the minimizer for
+that kink set. The candidate is returned only if it passes the same
+residual test; otherwise the iteration goes on unchanged.
 
 ``fista`` is accelerated proximal gradient with a fixed 1/L step. The
 detectors run it on the nonconvex SOAV problems, where ADMM stops in worse
@@ -39,6 +39,7 @@ for N >= 2M.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 _LIPSCHITZ_SAFETY = 1.01
+# ADMM's ridge mu as a share of sigma_max(S)^2.
+_ADMM_RIDGE_SHARE = 0.005
 # ADMM's over-relaxation weight alpha, in the range 1.5-1.8 that Boyd et al.
 # (section 3.4.3) recommend.
 _ADMM_RELAXATION = 1.6
@@ -164,16 +167,39 @@ def _stop(x: np.ndarray, step: np.ndarray, prox, rel_tol: float) -> tuple[float,
     return residual, 0.0 < rel_tol and residual <= rel_tol
 
 
+@functools.lru_cache(maxsize=1)
+def _admm_operator(instance: SystemInstance) -> tuple[float, np.ndarray, np.ndarray]:
+    """``admm``'s ridge mu, iteration matrix K and offset c on ``instance``, formed once.
+
+    None depends on the scale, so lasso and map_soav on one instance share
+    them. The key is the instance, not B, because c depends on y. K and c
+    are read-only.
+    """
+    B, y = instance.S, instance.y
+    n = B.shape[1]
+    alpha = _ADMM_RELAXATION
+    ridge = _ADMM_RIDGE_SHARE * instance.mix_norm_sq
+    ridged = instance.gram + ridge * np.identity(B.shape[0])
+    W = np.identity(n) - B.T @ np.linalg.solve(ridged, B)
+    M = alpha * W
+    M.reshape(-1)[:: n + 1] -= 0.5 * alpha
+    K = np.hstack((2.0 * M, (1.0 - 0.5 * alpha) * np.identity(n) - M))
+    c = W.dot(B.T.dot(y)) * (alpha / ridge)
+    K.setflags(write=False)
+    c.setflags(write=False)
+    return ridge, K, c
+
+
 def admm(instance: SystemInstance, prox_at: ProxAt, scale: float,
          config: SolverConfig) -> SolveReport:
     """Over-relaxed ADMM minimization of scale * ||y - B x||^2 + g(x), g convex.
 
-    ``prox_at`` maps gamma to the prox of gamma * g. The x-update takes the
-    instance's cached W = I - B^T (mu I + B B^T)^-1 B, ``admm_factor``, with
-    mu = ``admm_ridge``. The ADMM penalty is rho_a = 2 scale mu, so the
+    ``prox_at`` maps gamma to the prox of gamma * g. With the ridge
+    mu = 0.005 sigma_max(B)^2, W = I - B^T (mu I + B B^T)^-1 B is
+    mu (B^T B + mu I)^-1, formed by one solve of the M x M system with N
+    right-hand sides. The ADMM penalty is rho_a = 2 scale mu, so the
     x-update argmin_x f(x) + rho_a/2 ||x - z + u||^2 is W (z - u) + W B^T y / mu
-    for every scale: one W serves every detector on one instance. From
-    x = z = u = 0 each iteration takes
+    for every scale. From x = z = u = 0 each iteration takes
 
         x = W (z - u) + W B^T y / mu
         x_hat = alpha x + (1 - alpha) z,  alpha = 1.6
@@ -182,29 +208,26 @@ def admm(instance: SystemInstance, prox_at: ProxAt, scale: float,
 
     and returns z. The loop keeps z and w = x_hat + u only: then u = w - z,
     z - u = 2 z - w, and the next w is w + alpha (x - z). With
-    M = alpha W - (alpha / 2) I that is [2 M, (1 - alpha / 2) I - M] [z; w]
-    plus alpha W B^T y / mu: one N x 2N product per iteration, into the
-    other of two stacked [z; w] buffers.
+    M = alpha W - (alpha / 2) I that is K [z; w] + c, K = [2 M,
+    (1 - alpha / 2) I - M] and c = alpha W B^T y / mu, from
+    ``_admm_operator``: one N x 2N product per iteration, into the other of
+    two stacked [z; w] buffers.
 
-    At each check whose z fails the stopping test, the kink set K, the
+    At each check whose z fails the stopping test, the kink set, the
     coordinates where z is exactly -1, 0 or 1 (the ternary prox's constant
     branches), is compared with the previous check's. If it is the same,
-    ``_polish`` solves for the free coordinates F with z_K held, and the
-    candidate is returned if it passes the same test at the same
+    ``_polish`` solves for the free coordinates with z held on the kinks,
+    and the candidate is returned if it passes the same test at the same
     ``rel_tol``; no candidate passes at rel_tol = 0. A singular or
     non-finite polish is skipped.
     """
     L = _step_bound(instance, scale)
-    B, y, W, ridge = instance.S, instance.y, instance.admm_factor, instance.admm_ridge
+    B, y = instance.S, instance.y
+    ridge, K, c = _admm_operator(instance)
     n = B.shape[1]
-    alpha = _ADMM_RELAXATION
     prox = prox_at(1.0 / (2.0 * scale * ridge))
     residual_prox = prox_at(1.0 / L)
     a = (1.0 / L) * 2.0 * scale
-    M = alpha * W
-    M.reshape(-1)[:: n + 1] -= 0.5 * alpha
-    K = np.hstack((2.0 * M, (1.0 - 0.5 * alpha) * np.identity(n) - M))
-    c = W.dot(B.T.dot(y)) * (alpha / ridge)
 
     def check(x):
         return _stop(x, x - a * B.T.dot(B.dot(x) - y), residual_prox, config.rel_tol)

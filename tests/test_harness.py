@@ -302,16 +302,14 @@ class TestRunTrial:
 
     def test_one_admm_factor_per_convex_trial(self, monkeypatch):
         made = capture_instances(monkeypatch)
-        factors = []
-        real_factor = model.SystemInstance.admm_factor.func
+        formed = []
+        real_operator = optim._admm_operator.__wrapped__
 
-        def factor(self):
-            factors.append(self)
-            return real_factor(self)
+        def operator(instance):
+            formed.append(instance)
+            return real_operator(instance)
 
-        counting = functools.cached_property(factor)
-        counting.__set_name__(model.SystemInstance, "admm_factor")
-        monkeypatch.setattr(model.SystemInstance, "admm_factor", counting)
+        monkeypatch.setattr(optim, "_admm_operator", functools.lru_cache(maxsize=1)(operator))
 
         def run(rho, *kinds):
             cfg = ExperimentConfig(
@@ -321,14 +319,15 @@ class TestRunTrial:
             run_trial(cfg, 12.0, 0)
             return made[-1]
 
-        # lasso and map_soav at a convex rho share one factor.
+        # lasso and map_soav at a convex rho share one operator: W, K and c.
         convex = run(0.8, "lmmse", "lasso", "map_soav")
-        assert factors == [convex]
-        # No ADMM solve, no factor: lmmse alone, or map_soav at a nonconvex rho.
+        assert formed == [convex]
+        assert optim._admm_operator.cache_info().hits == 1
+        # No ADMM solve, no operator: lmmse alone, or map_soav at a nonconvex rho.
         run(0.8, "lmmse")
         run(0.2, "lmmse", "map_soav")
         assert len(made) == 3
-        assert factors == [convex]
+        assert formed == [convex]
 
     def test_error_counts_bounded_by_users(self):
         cfg = small_config()
@@ -382,7 +381,7 @@ class TestRunSweep:
         assert list(result.detectors) == ["lmmse", "lasso", "map_soav"]
         for kind, summary in result.detectors.items():
             ratios = [rec.error_counts[kind] / cfg.n_users for rec in records
-                      if rec.error_counts[kind] is not None]
+                      if kind in rec.error_counts]
             assert summary.trials == len(ratios)
             assert abs(summary.error_ratio - np.mean(ratios)) < 1e-12
             assert summary.std_err == pytest.approx(
@@ -598,7 +597,8 @@ class TestTrialError:
         doomed = DetectorConfig(kind="map_soav", solver=SolverConfig(max_iters=50, rel_tol=0.0))
         with np.errstate(over="ignore", invalid="ignore"):
             record = run_trial(small_config(rho=0.2, detectors=(doomed,)), 10.0, 0)
-        assert record.error_counts == {"map_soav": None}
+        assert record.error_counts == {}
+        assert list(record.failure_reasons) == ["map_soav"]
         assert record.solves == {}
 
 

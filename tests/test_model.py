@@ -27,15 +27,24 @@ class TestSymbolPrior:
         np.testing.assert_allclose(prior.probs, [0.1, 0.8, 0.1])
 
     def test_rejects_unsorted_alphabet(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             SymbolPrior(alphabet=(1.0, 0.0), probs=(0.5, 0.5))
+        # An infinite end point passes the increasing test. The finite test
+        # comes first, so a NaN is named as non-finite too.
+        for alphabet in [(-1.0, 0.0, np.inf), (-np.inf, 0.0, 1.0), (-1.0, np.nan, 1.0)]:
+            with pytest.raises(ValueError, match="^alphabet must be finite$"):
+                SymbolPrior(alphabet=alphabet, probs=(0.25, 0.5, 0.25))
 
     def test_rejects_zero_probability(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             SymbolPrior(alphabet=(-1.0, 0.0, 1.0), probs=(0.5, 0.0, 0.5))
+        # NaN passes both the positivity and the sum test.
+        for probs in [(np.nan, 0.5, 0.5), (0.5, np.inf, 0.5), (-np.inf, 0.5, 0.5)]:
+            with pytest.raises(ValueError, match="^probs must be finite$"):
+                SymbolPrior(alphabet=(-1.0, 0.0, 1.0), probs=probs)
 
     def test_rejects_unnormalized_probs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 1"):
             SymbolPrior(alphabet=(-1.0, 1.0), probs=(0.5, 0.6))
 
     def test_rejects_degenerate_rho(self):

@@ -545,11 +545,36 @@ class TestAdmm:
 
     def test_factor_is_the_scaled_ridge_inverse(self):
         inst, *_ = make_soav_problem(seed=60)
-        mu = inst.admm_ridge
+        mu, K, c = optim._admm_operator(inst)
         assert mu == 0.005 * inst.mix_norm_sq
-        expected = mu * np.linalg.inv(inst.S.T @ inst.S + mu * np.identity(inst.n_users))
-        np.testing.assert_allclose(inst.admm_factor, expected, rtol=0.0, atol=1e-10)
-        assert not inst.admm_factor.flags.writeable
+        n, alpha = inst.n_users, optim._ADMM_RELAXATION
+        W = mu * np.linalg.inv(inst.S.T @ inst.S + mu * np.identity(n))
+        # K = [2 alpha W - alpha I, I - alpha W] and c = alpha W S^T y / mu.
+        np.testing.assert_allclose((K[:, :n] + alpha * np.identity(n)) / (2.0 * alpha), W,
+                                   rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(K[:, n:], np.identity(n) - alpha * W, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(c, alpha * W @ inst.S.T @ inst.y / mu, rtol=1e-9)
+        assert not K.flags.writeable and not c.flags.writeable
+
+    def test_operator_is_keyed_by_the_instance(self):
+        """Two instances on one S, as in a fix-matrix sweep, each get their own c."""
+        inst, scale, _, prox_at = make_soav_problem(seed=63)
+        other = synthesize(bpsk_prior(0.8), inst.S, inst.sigma_w2, np.random.default_rng(64))
+        config = SolverConfig()
+
+        def fresh(instance):
+            optim._admm_operator.cache_clear()
+            return admm(instance, prox_at, scale, config)
+
+        expected = [fresh(inst), fresh(other)]
+        _, K, c = optim._admm_operator(other)
+        _, K_inst, c_inst = optim._admm_operator(inst)
+        assert K.tobytes() == K_inst.tobytes()
+        assert c.tobytes() != c_inst.tobytes()
+        for instance, want in [(inst, expected[0]), (other, expected[1])] * 2:
+            report = admm(instance, prox_at, scale, config)
+            assert report.solution.tobytes() == want.solution.tobytes()
+            assert (report.iterations, report.residual) == (want.iterations, want.residual)
 
     def test_stops_on_the_residual_every_ten_iterations(self):
         inst, scale, _, prox_at = make_soav_problem(seed=61)
